@@ -115,6 +115,12 @@ impl fmt::Display for BitString {
     }
 }
 
+impl From<Vec<bool>> for BitString {
+    fn from(bits: Vec<bool>) -> Self {
+        BitString { bits }
+    }
+}
+
 impl FromIterator<bool> for BitString {
     fn from_iter<T: IntoIterator<Item = bool>>(iter: T) -> Self {
         BitString {

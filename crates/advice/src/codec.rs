@@ -18,18 +18,17 @@ use crate::bitstring::BitString;
 /// `concat(&[])` is the empty string and `concat(&[x])` is just the doubled
 /// `x`.
 pub fn concat(parts: &[BitString]) -> BitString {
-    let mut out = BitString::new();
+    let len: usize = parts.iter().map(|p| 2 * p.len() + 2).sum();
+    let mut out = Vec::with_capacity(len);
     for (i, part) in parts.iter().enumerate() {
         if i > 0 {
-            out.push(false);
-            out.push(true);
+            out.extend([false, true]);
         }
         for &b in part.bits() {
-            out.push(b);
-            out.push(b);
+            out.extend([b, b]);
         }
     }
-    out
+    BitString::from(out)
 }
 
 /// Errors that can occur while decoding a [`concat()`]-encoded string.
@@ -72,25 +71,35 @@ pub fn decode(encoded: &BitString) -> Result<Vec<BitString>, DecodeError> {
     if bits.len() % 2 != 0 {
         return Err(DecodeError::Truncated);
     }
-    let mut parts = vec![BitString::new()];
-    let mut i = 0;
-    while i < bits.len() {
-        match (bits[i], bits[i + 1]) {
-            (false, false) => parts.last_mut().unwrap().push(false),
-            (true, true) => parts.last_mut().unwrap().push(true),
-            (false, true) => parts.push(BitString::new()),
-            (true, false) => return Err(DecodeError::InvalidPair { offset: i }),
+    let mut parts = Vec::new();
+    let mut part = Vec::new();
+    for (i, pair) in bits.chunks_exact(2).enumerate() {
+        match (pair[0], pair[1]) {
+            (false, true) => parts.push(BitString::from(std::mem::take(&mut part))),
+            (true, false) => return Err(DecodeError::InvalidPair { offset: 2 * i }),
+            (b, _) => part.push(b),
         }
-        i += 2;
     }
+    parts.push(BitString::from(part));
     Ok(parts)
 }
 
 /// Convenience: encodes a sequence of non-negative integers with
 /// `concat(bin(x1), ..., bin(xk))`.
 pub fn concat_uints(xs: &[u64]) -> BitString {
-    let parts: Vec<BitString> = xs.iter().map(|&x| BitString::from_uint(x)).collect();
-    concat(&parts)
+    let mut out = Vec::with_capacity(xs.len() * 16);
+    for (i, &x) in xs.iter().enumerate() {
+        if i > 0 {
+            out.extend([false, true]);
+        }
+        // bin(x) most significant bit first, with bin(0) = "0".
+        let top = 63 - (x | 1).leading_zeros();
+        for k in (0..=top).rev() {
+            let b = (x >> k) & 1 == 1;
+            out.extend([b, b]);
+        }
+    }
+    BitString::from(out)
 }
 
 /// Convenience: decodes a [`concat_uints`]-encoded string.
@@ -177,8 +186,12 @@ mod tests {
 
     #[test]
     fn uint_sequence_roundtrip() {
-        let xs = [0u64, 1, 2, 12345, u64::from(u32::MAX)];
+        let xs = [0u64, 1, 2, 12345, u64::from(u32::MAX), u64::MAX];
         let enc = concat_uints(&xs);
         assert_eq!(decode_uints(&enc).unwrap(), xs.to_vec());
+        // The direct writer is exactly Concat(bin(x1), ..., bin(xk)).
+        let parts: Vec<BitString> = xs.iter().map(|&x| BitString::from_uint(x)).collect();
+        assert_eq!(enc, concat(&parts));
+        assert!(concat_uints(&[]).is_empty());
     }
 }

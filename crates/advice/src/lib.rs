@@ -35,4 +35,4 @@ pub mod trie;
 pub use bitstring::BitString;
 pub use codec::{concat, decode};
 pub use tree::LabeledTree;
-pub use trie::{Query, Trie};
+pub use trie::{Query, Trie, TrieRef};

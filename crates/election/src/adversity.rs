@@ -36,8 +36,7 @@ use anet_sim::{AdvRunner, ComNode, FaultPlan, ReliableLink, Restartable, RunStat
 use anet_views::ViewId;
 use parking_lot::Mutex;
 
-use crate::advice_build::decode_advice;
-use crate::elect::{collect_deposits, first_unhalted, outputs_from_view_ids};
+use crate::elect::{collect_deposits, decode_advice_for, first_unhalted, outputs_from_view_ids};
 use crate::error::ElectionError;
 use crate::instance::Instance;
 use crate::verify::verify_election;
@@ -88,9 +87,9 @@ impl Instance {
         threads: usize,
     ) -> Result<AdversityOutcome, ElectionError> {
         let advice_bits = self.advice()?.bits.clone();
-        let decoded = decode_advice(&advice_bits)?;
-        let phi = decoded.phi;
         let g = self.graph();
+        let decoded = decode_advice_for(g, &advice_bits)?;
+        let phi = decoded.phi;
         let n = g.num_nodes();
         let diameter = self.diameter();
         let arena = self.arena();

@@ -15,16 +15,17 @@
 //! Theorem 3.1 bounds the total length by `O(n log n)` bits; the experiment
 //! harness measures it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use anet_advice::{codec, BitString, LabeledTree, Trie};
 use anet_graph::{algo, Graph, NodeId};
-use anet_views::{election_index, AugmentedView, ShardedViewArena, ViewId};
+use anet_views::{election_index, AugmentedView, ClassId};
 
+use crate::encoding::bin_b1_node;
 use crate::error::ElectionError;
 use crate::labels::{
-    build_trie, build_trie_arena, decode_e2, encode_e2, retrieve_label, retrieve_label_arena,
-    LabelMemo, NestedList,
+    build_trie, build_trie_classes, build_trie_codes, class_labels, decode_e2, depth_one_label,
+    encode_e2, retrieve_label, ClassLevel, LabelIndex, NestedList,
 };
 
 /// The advice produced by the oracle, together with the intermediate objects
@@ -71,15 +72,16 @@ pub struct DecodedAdvice {
     pub tree: LabeledTree,
 }
 
-/// Runs `ComputeAdvice(G)` (Algorithm 5) on the hash-consed view arena.
+/// Runs `ComputeAdvice(G)` (Algorithm 5) on the graph's refinement classes.
 ///
-/// Every view set the algorithm manipulates is held as interned
-/// [`ViewId`]s: grouping nodes by their depth-`(i-1)` view is id grouping,
-/// the `BuildTrie` splits compare ids, and `RetrieveLabel` is memoized per
-/// distinct view — so the oracle side scales to the same `large_graphs()`
-/// sweep as the φ engine. [`compute_advice_reference`] keeps the original
-/// materialized-tree construction; both produce bit-identical advice
-/// (asserted by unit and property tests).
+/// Every view set the algorithm manipulates is held as class ids — ranks in
+/// the canonical view order — so no view is ever materialized or compared:
+/// grouping the depth-`i` views by their depth-`(i-1)` view is a counting
+/// sort, the `BuildTrie` splits read class rows, and `RetrieveLabel` labels
+/// each depth's classes in one pass. The whole construction is
+/// `O(φ·m)` plus the trie splits. [`compute_advice_reference`] keeps the
+/// original materialized-tree construction; both produce bit-identical
+/// advice (asserted by unit and property tests).
 ///
 /// This is a convenience wrapper building a one-shot
 /// [`Instance`](crate::Instance); sessions that run several schemes on the
@@ -92,55 +94,40 @@ pub fn compute_advice(g: &Graph) -> Result<Advice, ElectionError> {
     crate::Instance::new(g).advice().cloned()
 }
 
-/// The core of `ComputeAdvice(G)` on an already-analyzed graph: `phi` is the
-/// election index and `levels[d][v]` is the interned id of `B^d(v)` in
-/// `arena` for every depth `0..=phi` (the shape
-/// [`ShardedViewArena::compute_levels`] produces). Called by
-/// [`Instance::advice`](crate::Instance::advice) against the session's
-/// shared arena.
-pub(crate) fn compute_advice_in(
-    g: &Graph,
-    phi: usize,
-    arena: &ShardedViewArena,
-    levels: &[Vec<ViewId>],
-) -> Advice {
+/// The core of `ComputeAdvice(G)` on an already-analyzed graph: `rows[d]`
+/// is the refinement class row of depth `d` for every depth `0..=φ` (the
+/// shape of [`Instance::class_row`](crate::Instance::class_row)), so `φ` is
+/// `rows.len() - 1`.
+pub(crate) fn compute_advice_in(g: &Graph, rows: &[&[ClassId]]) -> Advice {
+    let phi = rows.len().saturating_sub(1);
     debug_assert!(phi >= 1);
-    debug_assert_eq!(levels.len(), phi + 1);
-    let mut memo = LabelMemo::new();
+    let levels: Vec<ClassLevel<'_>> = rows.iter().map(|row| ClassLevel::new(row)).collect();
 
-    // E1: the trie over all distinct depth-1 views.
-    let distinct_1 = distinct_sorted_ids(arena, &levels[1]);
-    let e1 = build_trie_arena(arena, &distinct_1, None, &Vec::new(), &mut memo);
+    // E1: the trie over all distinct depth-1 views, and their labels.
+    let bins: Vec<BitString> = levels[1].reps.iter().map(|&v| bin_b1_node(g, v)).collect();
+    let e1 = build_trie_codes(&bins);
+    let mut labels_prev: Vec<u64> = bins.iter().map(|b| depth_one_label(b, &e1)).collect();
 
-    // E2: iteratively add one (i, L(i)) entry per depth 2..=φ.
+    // E2: iteratively add one (i, L(i)) entry per depth 2..=φ, then label
+    // the depth-i views with it.
     let mut e2: NestedList = Vec::new();
     for i in 2..=phi {
-        // Group nodes by their depth-(i-1) view, in canonical view order.
-        let mut groups: HashMap<ViewId, Vec<NodeId>> = HashMap::new();
-        for v in g.nodes() {
-            groups.entry(levels[i - 1][v]).or_default().push(v);
-        }
-        // lint: ordered(keys are re-sorted by canonical view order on the next line)
-        let mut keys: Vec<ViewId> = groups.keys().copied().collect();
-        keys.sort_by(|&a, &b| arena.cmp_views(a, b));
+        let (prev, level) = (&levels[i - 1], &levels[i]);
+        let (starts, mut members) = group_by_truncation(level, prev);
         let mut l_i: Vec<(u64, Trie)> = Vec::new();
-        for b_prime in keys {
-            let members: Vec<ViewId> = groups[&b_prime].iter().map(|&v| levels[i][v]).collect();
-            let x = distinct_sorted_ids(arena, &members);
-            if x.len() > 1 {
-                let j = retrieve_label_arena(arena, b_prime, &e1, &e2, &mut memo);
-                let t_j = build_trie_arena(arena, &x, Some(&e1), &e2, &mut memo);
-                l_i.push((j, t_j));
+        for (b_prime, range) in starts.windows(2).enumerate() {
+            let group = &mut members[range[0]..range[1]];
+            if group.len() > 1 {
+                let t_j = build_trie_classes(g, level, prev, &labels_prev, group);
+                l_i.push((labels_prev[b_prime], t_j));
             }
         }
+        labels_prev = class_labels(g, level, prev, &labels_prev, &LabelIndex::new(&l_i));
         e2.push((i as u64, l_i));
     }
 
     // Labels at depth φ: a permutation of 1..=n (Claim 3.7 / Proposition 2.1).
-    let labels: Vec<u64> = levels[phi]
-        .iter()
-        .map(|&id| retrieve_label_arena(arena, id, &e1, &e2, &mut memo))
-        .collect();
+    let labels: Vec<u64> = levels[phi].row.iter().map(|&c| labels_prev[c]).collect();
     let root = labels
         .iter()
         .position(|&l| l == 1)
@@ -164,6 +151,32 @@ pub(crate) fn compute_advice_in(
         labels,
         root,
     }
+}
+
+/// Counting-sorts the depth-`i` classes by their depth-`(i-1)` class:
+/// returns `(starts, members)` where `members[starts[c]..starts[c + 1]]`
+/// are the depth-`i` classes whose views truncate to the depth-`(i-1)`
+/// class `c`. Class ids are canonical ranks, so the groups come out in
+/// canonical order of the truncated view.
+fn group_by_truncation(
+    level: &ClassLevel<'_>,
+    prev: &ClassLevel<'_>,
+) -> (Vec<usize>, Vec<ClassId>) {
+    let mut starts = vec![0; prev.reps.len() + 1];
+    for &v in &level.reps {
+        starts[prev.row[v] + 1] += 1;
+    }
+    for c in 0..prev.reps.len() {
+        starts[c + 1] += starts[c];
+    }
+    let mut next = starts.clone();
+    let mut members = vec![0; level.reps.len()];
+    for (c, &v) in level.reps.iter().enumerate() {
+        let slot = &mut next[prev.row[v]];
+        members[*slot] = c;
+        *slot += 1;
+    }
+    (starts, members)
 }
 
 /// The original `ComputeAdvice` over materialized [`AugmentedView`] trees —
@@ -311,16 +324,6 @@ fn distinct_sorted(views: &[AugmentedView]) -> Vec<AugmentedView> {
     out
 }
 
-/// Deduplicates and canonically sorts a collection of interned views (the
-/// arena analogue of [`distinct_sorted`]: id dedup after a
-/// [`ShardedViewArena::cmp_views`] sort).
-fn distinct_sorted_ids(arena: &ShardedViewArena, ids: &[ViewId]) -> Vec<ViewId> {
-    let mut out = ids.to_vec();
-    out.sort_by(|&a, &b| arena.cmp_views(a, b));
-    out.dedup();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,6 +367,31 @@ mod tests {
             assert_eq!(arena.e1, reference.e1);
             assert_eq!(arena.e2, reference.e2);
             assert_eq!(arena.tree, reference.tree);
+        }
+    }
+
+    #[test]
+    fn advice_is_bit_identical_to_reference_on_wide_inputs() {
+        // The samples above never build a wide E1 or many L(d) groups. A
+        // sparse 700-node graph does (φ = 3, hundreds of E1 leaves), and
+        // the φ-targeted family reaches depths 4 to 6.
+        let sparse = generators::random_connected_sparse(700, 700, 10);
+        let advice = compute_advice(&sparse).unwrap();
+        assert_eq!(advice.phi, 3);
+        assert!(advice.e1.num_leaves() >= 200, "E1 is wide");
+        assert!(advice.e2[0].1.len() >= 10, "L(2) has many groups");
+        let mut graphs = vec![sparse];
+        for phi in 4..=6 {
+            graphs.extend((0..3).map(|seed| generators::phi_targeted(phi, seed)));
+        }
+        for g in graphs {
+            let fast = compute_advice(&g).unwrap();
+            let reference = compute_advice_reference(&g).unwrap();
+            assert_eq!(fast.bits, reference.bits, "advice bits must be identical");
+            assert_eq!(fast.labels, reference.labels);
+            assert_eq!(fast.root, reference.root);
+            assert_eq!(fast.e1, reference.e1);
+            assert_eq!(fast.e2, reference.e2);
         }
     }
 

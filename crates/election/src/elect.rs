@@ -156,12 +156,12 @@ pub fn simulate_election(g: &Graph, advice: &Advice) -> Result<Simulation, Elect
 }
 
 /// [`simulate_election`] from the raw advice bit string, interning against
-/// the given shared view arena. An [`Instance`] session
-/// passes its own arena here, so the view records built by the oracle's
-/// `ComputeAdvice` phase are reused by the `COM` exchange instead of being
-/// re-interned from scratch; passing a fresh arena reproduces the
+/// the given shared view arena. An [`Instance`] session passes its own
+/// arena here, so its repeated runs (and its view levels, if computed)
+/// share one set of records; passing a fresh arena reproduces the
 /// standalone behavior exactly (the set of interned subtrees is the same
-/// either way).
+/// either way). Advice whose election index no graph of this size has is
+/// refused as [`ElectionError::MalformedAdvice`] before any round runs.
 pub fn simulate_election_in(
     g: &Graph,
     advice_bits: &BitString,
@@ -170,7 +170,7 @@ pub fn simulate_election_in(
     // Every node independently decodes the same bit string, exactly as in
     // the model (the decoded advice is shared here only to avoid re-decoding
     // per node; decoding is deterministic so the result is identical).
-    let decoded = decode_advice(advice_bits)?;
+    let decoded = decode_advice_for(g, advice_bits)?;
     let phi = decoded.phi;
 
     // Phase 1: the COM exchange, depositing each node's B^φ id.
@@ -199,6 +199,26 @@ pub fn simulate_election_in(
     })
 }
 
+/// Decodes the advice for an election on `g`, refusing an election index
+/// that no `n`-node graph has. Refinement stabilizes within `n - 1` rounds,
+/// so a feasible graph on `n >= 2` nodes has `1 <= φ <= n - 1`; a larger
+/// forged `φ` would run that many rounds (or overflow the round count), and
+/// `φ = 0` would leave every node a depth-0 view, which carries no label.
+pub(crate) fn decode_advice_for(
+    g: &Graph,
+    advice_bits: &BitString,
+) -> Result<DecodedAdvice, ElectionError> {
+    let decoded = decode_advice(advice_bits)?;
+    let n = g.num_nodes();
+    if decoded.phi == 0 || decoded.phi >= n {
+        return Err(ElectionError::MalformedAdvice(format!(
+            "election index {} is impossible on {n} nodes",
+            decoded.phi
+        )));
+    }
+    Ok(decoded)
+}
+
 /// Collects the per-node view ids a `COM` run deposited, erroring on any
 /// node that halted without depositing (impossible through [`ComNode`]'s
 /// callback, but the error path keeps the pipeline panic-free).
@@ -220,11 +240,11 @@ pub(crate) fn outputs_from_view_ids(
     arena: &ShardedViewArena,
     ids: &[ViewId],
 ) -> Result<Vec<PortPath>, ElectionError> {
-    let mut memo = LabelMemo::new();
+    let mut memo = LabelMemo::new(&decoded.e1, &decoded.e2);
     let parents = decoded.tree.parent_map();
     let mut outputs = Vec::with_capacity(ids.len());
     for &id in ids {
-        let x = retrieve_label_arena(arena, id, &decoded.e1, &decoded.e2, &mut memo);
+        let x = retrieve_label_arena(arena, id, &mut memo);
         // O(path length) walk through the pre-indexed parent relation,
         // identical to LabeledTree::path_to_root.
         let flat: Vec<usize> = decoded
@@ -354,6 +374,40 @@ mod tests {
         assert_eq!(perm[og.leader], oh.leader);
         assert_eq!(og.time, oh.time);
         assert_eq!(og.advice_bits, oh.advice_bits);
+    }
+
+    /// `bits` with its election index item replaced by `phi`.
+    fn with_phi(bits: &BitString, phi: u64) -> BitString {
+        let mut items = anet_advice::codec::decode(bits).unwrap();
+        items[0] = BitString::from_uint(phi);
+        anet_advice::codec::concat(&items)
+    }
+
+    #[test]
+    fn forged_election_index_is_refused() {
+        // A node must never trust φ further than the graph allows: φ = 0
+        // leaves no label to compute, and φ >= n is impossible (u64::MAX
+        // would overflow the round count).
+        let g = generators::lollipop(5, 4);
+        let advice = compute_advice(&g).unwrap();
+        let n = g.num_nodes() as u64;
+        for phi in [u64::MAX, n, 0] {
+            let forged = with_phi(&advice.bits, phi);
+            let arena = Arc::new(ShardedViewArena::new());
+            assert!(
+                matches!(
+                    simulate_election_in(&g, &forged, &arena),
+                    Err(ElectionError::MalformedAdvice(_))
+                ),
+                "phi = {phi}"
+            );
+        }
+        // Re-encoding the honest φ leaves the advice intact, and it elects.
+        let honest = with_phi(&advice.bits, advice.phi as u64);
+        assert_eq!(honest, advice.bits);
+        let sim = simulate_election_in(&g, &honest, &Arc::new(ShardedViewArena::new())).unwrap();
+        assert_eq!(sim.time, advice.phi);
+        assert_eq!(verify_election(&g, &sim.outputs), Ok(advice.root));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! [`bin_b1`].
 
 use anet_advice::{codec, BitString};
+use anet_graph::{Graph, NodeId};
 use anet_views::{AugmentedView, ShardedViewArena, ViewId};
 
 /// The paper's binary representation `bin(B^1(v))` of a view of depth at
@@ -26,17 +27,19 @@ pub fn bin_b1(view: &AugmentedView) -> BitString {
         view.depth() >= 1,
         "bin(B^1) needs a view of depth at least 1"
     );
-    let triples: Vec<BitString> = view
-        .children()
-        .iter()
+    encode_triples(
+        view.children()
+            .iter()
+            .map(|(a_j, sub)| (*a_j, sub.degree())),
+    )
+}
+
+/// `Concat` of the triples `(j, a_j, b_j)` given `(a_j, b_j)` in port order
+/// `j = 0, 1, …` — the list form of `B^1` every `bin_b1*` variant encodes.
+fn encode_triples(ports: impl Iterator<Item = (usize, usize)>) -> BitString {
+    let triples: Vec<BitString> = ports
         .enumerate()
-        .map(|(j, (a_j, sub))| {
-            codec::concat(&[
-                BitString::from_uint(j as u64),
-                BitString::from_uint(*a_j as u64),
-                BitString::from_uint(sub.degree() as u64),
-            ])
-        })
+        .map(|(j, (a_j, b_j))| codec::concat_uints(&[j as u64, a_j as u64, b_j as u64]))
         .collect();
     codec::concat(&triples)
 }
@@ -59,19 +62,24 @@ pub fn bin_b1_arena(arena: &ShardedViewArena, id: ViewId) -> BitString {
         arena.depth(id) >= 1,
         "bin(B^1) needs a view of depth at least 1"
     );
-    let children = arena.children(id);
-    let triples: Vec<BitString> = children
-        .iter()
-        .enumerate()
-        .map(|(j, &(a_j, sub))| {
-            codec::concat(&[
-                BitString::from_uint(j as u64),
-                BitString::from_uint(a_j as u64),
-                BitString::from_uint(arena.degree(sub) as u64),
-            ])
-        })
-        .collect();
-    codec::concat(&triples)
+    encode_triples(
+        arena
+            .children(id)
+            .into_iter()
+            .map(|(a_j, sub)| (a_j, arena.degree(sub))),
+    )
+}
+
+/// [`bin_b1`] of `B^1(v)` read straight off the graph: per port `j` of `v`,
+/// the port `a_j` at the neighbor and the neighbor's degree `b_j`. This is
+/// the oracle's reading in `ComputeAdvice`, which works on the graph and
+/// its class rows rather than on interned views.
+pub(crate) fn bin_b1_node(g: &Graph, v: NodeId) -> BitString {
+    encode_triples(
+        g.neighbor_slice(v)
+            .iter()
+            .map(|&(u, a_j)| (a_j, g.degree(u))),
+    )
 }
 
 #[cfg(test)]
@@ -128,6 +136,7 @@ mod tests {
             assert_eq!(bin_b1_arena(&arena, levels[1][v]), bin_b1(&trees1[v]));
             // Deeper views encode only their depth-1 truncation, identically.
             assert_eq!(bin_b1_arena(&arena, levels[2][v]), bin_b1(&trees2[v]));
+            assert_eq!(bin_b1_node(&g, v), bin_b1(&trees1[v]));
         }
     }
 

@@ -262,9 +262,9 @@ impl Instance {
         self.eccentricities().iter().copied().max().unwrap_or(0)
     }
 
-    /// The shared hash-consed view arena of this session. The advice
-    /// construction and every simulated `COM` exchange intern against this
-    /// one arena, so view records built by one phase are reused by the next.
+    /// The shared hash-consed view arena of this session. The view levels
+    /// and every simulated `COM` exchange intern against this one arena, so
+    /// view records built by one run are reused by the next.
     pub fn arena(&self) -> SharedViewArena {
         Arc::clone(&self.arena)
     }
@@ -282,19 +282,18 @@ impl Instance {
     }
 
     /// The full minimum-time advice (`ComputeAdvice(G)`, Algorithm 5),
-    /// computed once on the shared arena. Errors on infeasible graphs.
+    /// computed once from the cached class rows of depths `0..=φ` (all
+    /// within the analysis table, since refinement is stable by depth φ).
+    /// Errors on infeasible graphs.
     pub fn advice(&self) -> Result<&Advice, ElectionError> {
-        // Resolve φ and the levels before entering the OnceCell closure so
-        // the error path does not poison the cache with `Infeasible` before
-        // the levels cache is populated.
-        let deps = self
-            .phi()
-            .and_then(|phi| self.levels().map(|levels| (phi, levels)));
         self.advice
             .get_or_init(|| {
-                let (phi, levels) = deps?;
+                let phi = self.phi()?;
                 self.bump(|c| c.advice += 1);
-                Ok(compute_advice_in(&self.graph, phi, &self.arena, levels))
+                Ok(self.with_analysis(|a| {
+                    let rows: Vec<&[ClassId]> = (0..=phi).map(|d| a.classes.row_at(d)).collect();
+                    compute_advice_in(&self.graph, &rows)
+                }))
             })
             .as_ref()
             .map_err(Clone::clone)
@@ -409,6 +408,8 @@ mod tests {
         let advice1 = inst.advice().unwrap().bits.clone();
         let advice2 = inst.advice().unwrap().bits.clone();
         assert_eq!(advice1, advice2);
+        let levels1 = inst.levels().unwrap().clone();
+        assert_eq!(&levels1, inst.levels().unwrap());
         let counts = inst.compute_counts();
         assert_eq!(counts.analysis, 1, "one refinement analysis");
         assert_eq!(counts.eccentricities, 1, "one BFS sweep");

@@ -3,9 +3,11 @@
 //! (Algorithm 4).
 //!
 //! These procedures are executed both by the oracle (while constructing the
-//! advice) and by the nodes (while interpreting it); the code here is shared
-//! verbatim between the two sides, which is exactly what makes the advice
-//! consistent.
+//! advice) and by the nodes (while interpreting it). Both sides answer trie
+//! queries with the same predicates and evaluate `RetrieveLabel`'s
+//! summation with the same per-depth index of `L(d)`, which is exactly what
+//! makes the advice consistent. The oracle reads views as refinement
+//! classes; a node reads its own interned view ([`retrieve_label_arena`]).
 //!
 //! All three procedures manipulate augmented truncated views. The paper's
 //! "lexicographic order of binary representations" is realized by the
@@ -13,10 +15,11 @@
 //! paper-exact `bin(B^1)` code (see [`crate::encoding`]) for views of depth
 //! 1 — the depth-1 trie queries literally ask about bits of that code.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use anet_advice::{codec, BitString, Trie};
-use anet_views::{AugmentedView, ShardedViewArena, ViewId};
+use anet_advice::{codec, BitString, Query, Trie, TrieRef};
+use anet_graph::{Graph, NodeId};
+use anet_views::{AugmentedView, ClassId, ShardedViewArena, ViewId};
 
 use crate::encoding::{bin_b1, bin_b1_arena};
 
@@ -33,10 +36,14 @@ pub type NestedList = Vec<(u64, Vec<(u64, Trie)>)>;
 /// depth-1 case) or from the labels of the children of `B` listed in `X`.
 /// Returns a label in `{1, ..., num_leaves(T)}`.
 pub fn local_label(b: &AugmentedView, x: &[u64], t: &Trie) -> u64 {
-    match t {
-        Trie::Leaf => 1,
-        Trie::Internal { query, left, right } => {
-            let (qx, qy) = *query;
+    local_label_in(b, x, t.root())
+}
+
+fn local_label_in(b: &AugmentedView, x: &[u64], t: TrieRef<'_>) -> u64 {
+    match t.split() {
+        None => 1,
+        Some((query, left, right)) => {
+            let (qx, qy) = query;
             let go_left = if x.is_empty() {
                 let bits = bin_b1(b);
                 if qx == 0 {
@@ -54,9 +61,9 @@ pub fn local_label(b: &AugmentedView, x: &[u64], t: &Trie) -> u64 {
                 x.get(qx as usize).copied() != Some(qy)
             };
             if go_left {
-                local_label(b, x, left)
+                local_label_in(b, x, left)
             } else {
-                left.num_leaves() as u64 + local_label(b, x, right)
+                left.num_leaves() as u64 + local_label_in(b, x, right)
             }
         }
     }
@@ -195,308 +202,347 @@ pub fn discriminatory_index_and_subview(s: &[AugmentedView]) -> (usize, Augmente
 }
 
 // ---------------------------------------------------------------------------
-// Arena-based label engine.
+// The production label engine.
 //
-// The functions below answer the same discrimination queries as their
-// tree-based counterparts above, but against hash-consed `ViewId`s of a
-// [`ShardedViewArena`]: equality of subviews is id equality (O(1)), the
-// canonical order is `ShardedViewArena::cmp_views`, and `bin(B^1)` queries
-// read the `O(Δ)` arena record directly. All arena methods take `&self`
-// (the sharding hides the interior locking), so the label engine threads a
-// plain shared reference. `retrieve_label_arena` additionally memoizes per
-// distinct view and replaces the `Θ(label)` summation loop of the
-// pseudocode by an `O(|L|)` closed form, which is what makes labeling all n
-// nodes of a million-node graph feasible. The tree-based functions remain
-// the oracle: on interned copies of the same views both engines produce
-// identical labels and identical tries (asserted by unit and property
-// tests).
+// `ComputeAdvice` never materializes or interns a view. It reads the
+// refinement class rows, where the class of `B^d(v)` is the rank of that
+// view in the canonical order among the graph's depth-`d` views (the
+// `ViewClasses` invariant). Grouping views is then a counting sort by
+// class, "the two canonically smallest views" is a min-2 selection over
+// ranks, subview equality is class equality, and every class of a depth is
+// labelled in one pass over its representatives. The nodes, which hold only
+// their own acquired view, run `RetrieveLabel` over interned arena views
+// (`retrieve_label_arena`), memoized per distinct view. Both sides answer
+// queries with the same two predicates and evaluate Algorithm 3's summation
+// with the same per-depth `LabelIndex` — one binary search per view instead
+// of a scan of `L(d)` — so they agree by construction. The tree-based
+// functions above remain the oracle: advice, labels and node outputs are
+// asserted identical by unit and property tests.
 // ---------------------------------------------------------------------------
 
-/// The per-operation memo caches of the arena label engine, shared across
-/// all label queries of one advice computation or one election run.
-///
-/// * `labels` — `RetrieveLabel` results per distinct view. An entry, once
-///   computed, stays valid while `E2` grows deeper entries: the label of a
-///   depth-`d` view only consults `E2` entries for depths `<= d`, and
-///   `ComputeAdvice` finalizes those before labeling any depth-`d` view.
-/// * `bins` — the paper-exact `bin(B^1)` code per distinct depth-1 view
-///   (the hot pure operation of the depth-1 trie machinery, in the same
-///   spirit as the arena's internal `truncate_one`/`cmp_views` memo
-///   caches). A view's code is immutable, so entries never invalidate.
-#[derive(Debug, Default)]
-pub struct LabelMemo {
-    pub(crate) labels: HashMap<ViewId, u64>,
-    pub(crate) bins: HashMap<ViewId, BitString>,
-}
-
-impl LabelMemo {
-    /// Creates empty caches.
-    pub fn new() -> Self {
-        LabelMemo::default()
+/// Answers a depth-1 query of `E1` from the code `bin(B^1)` of the view:
+/// whether the walk goes left (the answer "no").
+fn code_goes_left(bits: &BitString, (qx, qy): Query) -> bool {
+    if qx == 0 {
+        // "Is the binary representation shorter than y?"
+        (bits.len() as u64) < qy
+    } else {
+        // "Is the y-th bit (1-based) of the binary representation 0?" A
+        // missing bit (shorter string) cannot occur for views reaching this
+        // query along a consistent trie; treat an absent bit as 0
+        // defensively.
+        !bits.bit((qy as usize).saturating_sub(1)).unwrap_or(false)
     }
 }
 
-/// `LocalLabel(B, X, T)` — Algorithm 2 — against an arena view. Identical
-/// query semantics to [`local_label`]; depth-1 queries read
-/// [`bin_b1_arena`] instead of materializing
-/// the view, and the `bin(B^1)` code is computed once per call rather than
-/// once per visited trie node.
-pub fn local_label_arena(arena: &ShardedViewArena, id: ViewId, x: &[u64], t: &Trie) -> u64 {
-    // Only depth-1 queries (empty X) consult the binary representation.
-    let bits = if x.is_empty() && !t.is_leaf() {
-        Some(bin_b1_arena(arena, id))
-    } else {
-        None
-    };
-    local_label_walk(bits.as_ref(), x, t)
+/// Answers a deeper query from the child labels `X`: "Is the `(x+1)`-th
+/// term of `X` different from `y`?"
+fn labels_go_left(x: &[u64], (qx, qy): Query) -> bool {
+    x.get(qx as usize).copied() != Some(qy)
 }
 
-/// The shared trie walk of [`local_label_arena`]: answers queries from the
-/// precomputed `bin(B^1)` code (when present) or the child-label list `x`.
-fn local_label_walk(bits: Option<&BitString>, x: &[u64], t: &Trie) -> u64 {
-    let mut t = t;
-    let mut label = 1u64;
-    loop {
-        match t {
-            Trie::Leaf => return label,
-            Trie::Internal { query, left, right } => {
-                let (qx, qy) = *query;
-                let go_left = match bits {
-                    Some(bits) => {
-                        if qx == 0 {
-                            // "Is the binary representation shorter than y?"
-                            (bits.len() as u64) < qy
-                        } else {
-                            // "Is the y-th bit (1-based) of the binary
-                            // representation 0?" A missing bit (shorter
-                            // string) cannot occur for views reaching this
-                            // query along a consistent trie; treat an absent
-                            // bit as 0 defensively.
-                            !bits.bit((qy as usize).saturating_sub(1)).unwrap_or(false)
-                        }
-                    }
-                    // "Is the (x+1)-th term of X different from y?"
-                    None => x.get(qx as usize).copied() != Some(qy),
-                };
-                if go_left {
-                    t = left;
-                } else {
-                    label += left.num_leaves() as u64;
-                    t = right;
-                }
+/// `LocalLabel(B, ∅, E1)` of a depth-1 view given its code `bin(B^1)`.
+pub(crate) fn depth_one_label(bits: &BitString, e1: &Trie) -> u64 {
+    e1.walk(|q| code_goes_left(bits, q))
+}
+
+/// One list `L(d)` of `E2`, indexed for `RetrieveLabel` (Algorithm 3).
+///
+/// The entries are sorted by label, keeping only the first entry per label
+/// (like the pseudocode's search of `L`, which finds the first match; the
+/// decoded advice is not validated for distinct labels, and label 0 never
+/// matches since labels start at 1). Each entry carries the sum of
+/// `num_leaves(T_j) - 1` over the smaller labels. The pseudocode's
+/// `for i in 1..=label` accumulation then costs one binary search and one
+/// trie walk per view.
+#[derive(Debug, Clone)]
+pub(crate) struct LabelIndex<'a> {
+    /// `(j, Σ num_leaves(T_i) - 1 over the entries i < j, T_j)`, by `j`.
+    entries: Vec<(u64, u64, &'a Trie)>,
+    /// `Σ num_leaves(T_j) - 1` over all entries.
+    total: u64,
+}
+
+impl<'a> LabelIndex<'a> {
+    /// Indexes `L(d)` in `O(|L| log |L|)`.
+    pub(crate) fn new(list: &'a [(u64, Trie)]) -> Self {
+        let mut sorted: Vec<&(u64, Trie)> = list.iter().filter(|(j, _)| *j >= 1).collect();
+        // Stable: the first entry per label stays first, and dedup keeps it.
+        sorted.sort_by_key(|(j, _)| *j);
+        sorted.dedup_by_key(|(j, _)| *j);
+        let mut total = 0u64;
+        let entries = sorted
+            .into_iter()
+            .map(|(j, t)| {
+                let entry = (*j, total, t);
+                total += t.num_leaves() as u64 - 1;
+                entry
+            })
+            .collect();
+        LabelIndex { entries, total }
+    }
+
+    /// The label of a depth-`d` view whose depth-`(d-1)` truncation has
+    /// label `own` and whose children have labels `x`, in port order: every
+    /// `i < own` absent from `L` contributes 1, every present `j < own`
+    /// contributes `num_leaves(T_j)`, and `own` itself contributes
+    /// `LocalLabel(B, X, T_own)` if present and 1 otherwise.
+    pub(crate) fn label(&self, own: u64, x: &[u64]) -> u64 {
+        let k = self.entries.partition_point(|&(j, _, _)| j < own);
+        match self.entries.get(k) {
+            Some(&(j, before, t)) if j == own => {
+                own + before + t.walk(|q| labels_go_left(x, q)) - 1
             }
+            Some(&(_, before, _)) => own + before,
+            None => own + self.total,
         }
     }
 }
 
-/// `RetrieveLabel(B, E1, E2)` — Algorithm 3 — against an arena view,
-/// memoized per distinct view.
+/// One depth `d` of the refinement table, as `ComputeAdvice` reads it.
+#[derive(Debug, Clone)]
+pub(crate) struct ClassLevel<'a> {
+    /// `row[v]` is the class of `B^d(v)`: the rank of that view among the
+    /// graph's distinct depth-`d` views in canonical order.
+    pub(crate) row: &'a [ClassId],
+    /// `reps[c]` is the smallest node of class `c`.
+    pub(crate) reps: Vec<NodeId>,
+}
+
+impl<'a> ClassLevel<'a> {
+    /// Wraps a class row (dense ids `0..k`) and picks its representatives.
+    pub(crate) fn new(row: &'a [ClassId]) -> Self {
+        let classes = row.iter().max().map_or(0, |&c| c + 1);
+        let mut reps = vec![0; classes];
+        for (v, &c) in row.iter().enumerate().rev() {
+            reps[c] = v;
+        }
+        ClassLevel { row, reps }
+    }
+}
+
+/// Moves the members satisfying `pred` to the front of `set` and returns
+/// how many there are (a deterministic, in-place, unstable partition).
+fn partition<T: Copy>(set: &mut [T], pred: impl Fn(T) -> bool) -> usize {
+    let mut mid = 0;
+    for i in 0..set.len() {
+        if pred(set[i]) {
+            set.swap(mid, i);
+            mid += 1;
+        }
+    }
+    mid
+}
+
+/// `BuildTrie(S, ∅, ∅)` — the depth-1 branch of Algorithm 4 — over the
+/// distinct depth-1 views whose codes `bin(B^1)` are `bins`. Produces the
+/// trie of [`build_trie`] on the same views.
 ///
-/// Produces exactly the label of [`retrieve_label`] on the materialized
-/// tree. The recursion labels each distinct subview once (`memo`), and the
-/// pseudocode's `for i in 1..=label` accumulation is evaluated in closed
-/// form: every label `i` absent from `L` contributes 1, every present
-/// `j < label` contributes `num_leaves(T_j)`, and `j == label` contributes
-/// the `LocalLabel` query — `O(|L|)` instead of `Θ(label)` per view.
-pub fn retrieve_label_arena(
-    arena: &ShardedViewArena,
-    id: ViewId,
-    e1: &Trie,
-    e2: &NestedList,
-    memo: &mut LabelMemo,
-) -> u64 {
+/// The trie is built iteratively ([`Trie::build`]), each split partitioning
+/// a range of one member buffer in place. The members of a range agree on
+/// every bit before the range's resume point, because a bit split at `j`
+/// leaves both halves agreeing up to `j`; the search for the first
+/// differing bit starts there rather than at bit 0. No query depends on the
+/// member order.
+pub(crate) fn build_trie_codes(bins: &[BitString]) -> Trie {
+    let mut members: Vec<usize> = (0..bins.len()).collect();
+    Trie::build((0, members.len(), 0), |(lo, hi, start)| {
+        let set = members.get_mut(lo..hi).filter(|set| set.len() > 1)?;
+        let max = set.iter().map(|&c| bins[c].len()).max()?;
+        let min = set.iter().map(|&c| bins[c].len()).min()?;
+        let (query, mid, resume) = if min < max {
+            // Query (0, max): "is your representation shorter than max?"
+            let mid = partition(set, |c| bins[c].len() < max);
+            ((0, max as u64), mid, start)
+        } else {
+            // All lengths equal: find the first differing (1-based) bit, the
+            // earliest bit where some member differs from the first one.
+            let first = bins[set[0]].bits();
+            let mut j = max;
+            for &c in &set[1..] {
+                let other = &bins[c].bits()[start..j];
+                if let Some(k) = other.iter().zip(&first[start..j]).position(|(x, y)| x != y) {
+                    j = start + k;
+                }
+            }
+            debug_assert!(j < max, "distinct views have distinct codes");
+            if j == max {
+                return None;
+            }
+            let mid = partition(set, |c| bins[c].bit(j) == Some(false));
+            ((1, j as u64 + 1), mid, j + 1)
+        };
+        Some((query, (lo, lo + mid, resume), (lo + mid, hi, resume)))
+    })
+}
+
+/// The two smallest values of `set`, if it has two.
+fn two_smallest(set: &[ClassId]) -> Option<(ClassId, ClassId)> {
+    let (&x, &y) = set.first().zip(set.get(1))?;
+    let (mut a, mut b) = (x.min(y), x.max(y));
+    for &c in &set[2..] {
+        if c < a {
+            (a, b) = (c, a);
+        } else if c < b {
+            b = c;
+        }
+    }
+    Some((a, b))
+}
+
+/// The discriminatory index and subview (Section 3) of a set of at least
+/// two depth-`d` classes (`d >= 2`) sharing their depth-`(d-1)` class, read
+/// off the class rows: the two canonically smallest views are the two
+/// smallest ranks, their children through port `p` are the depth-`(d-1)`
+/// classes of their representatives' neighbors, and the smaller of two
+/// differing children is the smaller rank. Returns the port and the
+/// subview's depth-`(d-1)` class — the counterpart of
+/// [`discriminatory_index_and_subview`].
+pub(crate) fn discriminatory_index_of_classes(
+    g: &Graph,
+    level: &ClassLevel<'_>,
+    prev: &ClassLevel<'_>,
+    set: &[ClassId],
+) -> Option<(usize, ClassId)> {
+    let (a, b) = two_smallest(set)?;
+    let (ra, rb) = (level.reps[a], level.reps[b]);
+    g.neighbor_slice(ra)
+        .iter()
+        .zip(g.neighbor_slice(rb))
+        .enumerate()
+        .find_map(|(p, (&(ua, _), &(ub, _)))| {
+            let (ca, cb) = (prev.row[ua], prev.row[ub]);
+            (ca != cb).then_some((p, ca.min(cb)))
+        })
+}
+
+/// `BuildTrie(S, E1, E2)` — Algorithm 4 at depth `d >= 2` — over the
+/// depth-`d` classes `members` that share one depth-`(d-1)` class, where
+/// `prev_labels[c]` is the label of the depth-`(d-1)` class `c`. Produces
+/// the trie of [`build_trie`] on the same views: iterative, splitting
+/// ranges of `members` in place (in any order), `O(|S| + Δ)` per trie
+/// node.
+pub(crate) fn build_trie_classes(
+    g: &Graph,
+    level: &ClassLevel<'_>,
+    prev: &ClassLevel<'_>,
+    prev_labels: &[u64],
+    members: &mut [ClassId],
+) -> Trie {
+    Trie::build((0, members.len()), |(lo, hi)| {
+        let set = members.get_mut(lo..hi).filter(|set| set.len() > 1)?;
+        let found = discriminatory_index_of_classes(g, level, prev, set);
+        debug_assert!(
+            found.is_some(),
+            "distinct views with one truncation differ in a child"
+        );
+        let (port, disc) = found?;
+        let mid = partition(set, |c| prev.row[g.neighbor(level.reps[c], port).0] != disc);
+        Some((
+            (port as u64, prev_labels[disc]),
+            (lo, lo + mid),
+            (lo + mid, hi),
+        ))
+    })
+}
+
+/// `RetrieveLabel` of every depth-`d` class (`d >= 2`), indexed by class:
+/// a class's children are the depth-`(d-1)` classes of its
+/// representative's neighbors, its own truncation is the representative's
+/// depth-`(d-1)` class, and `prev_labels` holds the depth-`(d-1)` labels.
+pub(crate) fn class_labels(
+    g: &Graph,
+    level: &ClassLevel<'_>,
+    prev: &ClassLevel<'_>,
+    prev_labels: &[u64],
+    index: &LabelIndex<'_>,
+) -> Vec<u64> {
+    let mut x = Vec::new();
+    level
+        .reps
+        .iter()
+        .map(|&v| {
+            x.clear();
+            x.extend(
+                g.neighbor_slice(v)
+                    .iter()
+                    .map(|&(u, _)| prev_labels[prev.row[u]]),
+            );
+            index.label(prev_labels[prev.row[v]], &x)
+        })
+        .collect()
+}
+
+/// The node-side state of `RetrieveLabel` for one decoded advice, shared
+/// across all label queries of one election run: the label of every
+/// distinct view computed so far, and the index of each `L(d)`, built once
+/// on first use.
+#[derive(Debug)]
+pub struct LabelMemo<'a> {
+    e1: &'a Trie,
+    e2: &'a NestedList,
+    /// `indices[d]`: the index of `L(d)` once built.
+    indices: Vec<Option<LabelIndex<'a>>>,
+    labels: HashMap<ViewId, u64>,
+}
+
+impl<'a> LabelMemo<'a> {
+    /// Empty caches for the advice items `E1` and `E2`.
+    pub fn new(e1: &'a Trie, e2: &'a NestedList) -> Self {
+        LabelMemo {
+            e1,
+            e2,
+            indices: Vec::new(),
+            labels: HashMap::new(),
+        }
+    }
+
+    /// The index of `L(d)`: the first list attached to depth `d` in `E2`,
+    /// or an empty list if there is none.
+    fn index(&mut self, d: usize) -> &LabelIndex<'a> {
+        if self.indices.len() <= d {
+            self.indices.resize_with(d + 1, || None);
+        }
+        let e2 = self.e2;
+        self.indices[d].get_or_insert_with(|| {
+            let list = e2
+                .iter()
+                .find(|(depth, _)| *depth == d as u64)
+                .map_or(&[][..], |(_, list)| list.as_slice());
+            LabelIndex::new(list)
+        })
+    }
+}
+
+/// `RetrieveLabel(B, E1, E2)` — Algorithm 3 — against an arena view,
+/// memoized per distinct view. Produces exactly the label of
+/// [`retrieve_label`] on the materialized tree: `O(Δ + log |L(d)| +
+/// height)` per distinct view.
+pub fn retrieve_label_arena(arena: &ShardedViewArena, id: ViewId, memo: &mut LabelMemo<'_>) -> u64 {
     if let Some(&label) = memo.labels.get(&id) {
         return label;
     }
     let d = arena.depth(id);
     assert!(d >= 1, "RetrieveLabel requires a view of positive depth");
     let label = if d == 1 {
-        if e1.is_leaf() {
+        if memo.e1.is_leaf() {
             1
         } else {
-            // The bin(B^1) code is pure per view: serve it from the memo
-            // cache so repeated depth-1 labelings skip the re-encode.
-            let bits = memo
-                .bins
-                .entry(id)
-                .or_insert_with(|| bin_b1_arena(arena, id));
-            local_label_walk(Some(bits), &[], e1)
+            depth_one_label(&bin_b1_arena(arena, id), memo.e1)
         }
     } else {
         // Labels of the children (the depth-(d-1) views of the neighbors),
-        // in port order.
-        let children: Vec<ViewId> = arena.children(id).iter().map(|&(_, c)| c).collect();
-        let x: Vec<u64> = children
-            .iter()
-            .map(|&c| retrieve_label_arena(arena, c, e1, e2, memo))
+        // in port order, then of our own depth-(d-1) truncation.
+        let x: Vec<u64> = arena
+            .children(id)
+            .into_iter()
+            .map(|(_, c)| retrieve_label_arena(arena, c, memo))
             .collect();
-        // Label of our own depth-(d-1) truncation.
-        let b_prime = arena.truncate_one(id);
-        let own = retrieve_label_arena(arena, b_prime, e1, e2, memo);
-        // L = the list attached to depth d in E2 (possibly absent => empty).
-        let l = e2
-            .iter()
-            .find(|(depth, _)| *depth == d as u64)
-            .map(|(_, list)| list.as_slice())
-            .unwrap_or(&[]);
-        let mut sum = own; // the `1` contributed by each i in 1..=own
-        let mut own_trie: Option<&Trie> = None;
-        // Like the tree oracle's `find`, only the *first* entry per label
-        // counts — decoded advice is not validated for distinct labels, and
-        // the two engines must agree even on malformed bit strings.
-        let mut seen: HashSet<u64> = HashSet::new();
-        for (j, t) in l {
-            if *j > own || !seen.insert(*j) {
-                continue;
-            }
-            if *j < own {
-                sum += t.num_leaves() as u64 - 1;
-            } else {
-                own_trie = Some(t);
-            }
-        }
-        if let Some(t) = own_trie {
-            sum += local_label_arena(arena, id, &x, t) - 1;
-        }
-        sum
+        let own = retrieve_label_arena(arena, arena.truncate_one(id), memo);
+        memo.index(d).label(own, &x)
     };
     memo.labels.insert(id, label);
     label
-}
-
-/// `BuildTrie(S, E1, E2)` — Algorithm 4 — over arena views. Produces the
-/// same trie as [`build_trie`] on the materialized views of `s`: the splits,
-/// queries and recursion order are identical, with subview equality answered
-/// by id comparison and the canonical order by
-/// [`ShardedViewArena::cmp_views`].
-pub fn build_trie_arena(
-    arena: &ShardedViewArena,
-    s: &[ViewId],
-    e1: Option<&Trie>,
-    e2: &NestedList,
-    memo: &mut LabelMemo,
-) -> Trie {
-    // The bin(B^1) codes are fixed per view; materializing them into the
-    // shared memo cache up front spares every recursion level of the
-    // depth-1 branch a re-encode (and later label queries reuse them).
-    if e1.is_none() {
-        for &id in s {
-            memo.bins
-                .entry(id)
-                .or_insert_with(|| bin_b1_arena(arena, id));
-        }
-    }
-    build_trie_arena_inner(arena, s, e1, e2, memo)
-}
-
-fn build_trie_arena_inner(
-    arena: &ShardedViewArena,
-    s: &[ViewId],
-    e1: Option<&Trie>,
-    e2: &NestedList,
-    memo: &mut LabelMemo,
-) -> Trie {
-    assert!(!s.is_empty(), "BuildTrie requires a non-empty set");
-    if s.len() == 1 {
-        return Trie::leaf();
-    }
-    let (val, s_prime, s_rest): ((u64, u64), Vec<ViewId>, Vec<ViewId>) = match e1 {
-        None => {
-            let bins: Vec<&BitString> = s.iter().map(|id| &memo.bins[id]).collect();
-            let max = bins.iter().map(|b| b.len()).max().unwrap();
-            let min = bins.iter().map(|b| b.len()).min().unwrap();
-            if min < max {
-                // Query (0, max): "is your representation shorter than max?"
-                let (short, rest) = partition_preserving_order(s, &bins, |b| b.len() < max);
-                ((0, max as u64), short, rest)
-            } else {
-                // All lengths equal: find the first differing (1-based) bit.
-                let j = (0..max)
-                    .find(|&i| {
-                        let first = bins[0].bit(i);
-                        bins.iter().any(|b| b.bit(i) != first)
-                    })
-                    .expect("distinct views must have differing representations")
-                    + 1;
-                let (zeros, ones) =
-                    partition_preserving_order(s, &bins, |b| !b.bit(j - 1).unwrap());
-                ((1, j as u64), zeros, ones)
-            }
-        }
-        Some(e1_trie) => {
-            let (index, b_disc) = discriminatory_index_and_subview_arena(arena, s);
-            let mut s_prime = Vec::new();
-            let mut s_rest = Vec::new();
-            for &v in s {
-                // `index` is a valid port of every view in `s` (all share the
-                // same degree); a hypothetical out-of-range port lands the
-                // view in `s_prime`, matching the tree oracle's index panic
-                // domain never being reached.
-                if arena.child(v, index).map(|(_, c)| c) != Some(b_disc) {
-                    s_prime.push(v);
-                } else {
-                    s_rest.push(v);
-                }
-            }
-            let label = retrieve_label_arena(arena, b_disc, e1_trie, e2, memo);
-            ((index as u64, label), s_prime, s_rest)
-        }
-    };
-    debug_assert!(!s_prime.is_empty() && !s_rest.is_empty());
-    Trie::internal(
-        val,
-        build_trie_arena_inner(arena, &s_prime, e1, e2, memo),
-        build_trie_arena_inner(arena, &s_rest, e1, e2, memo),
-    )
-}
-
-/// Splits `s` into (elements whose bin satisfies `pred`, the rest), keeping
-/// the relative order of `s` in both halves — the partition used by the
-/// depth-1 branch of `BuildTrie`.
-fn partition_preserving_order(
-    s: &[ViewId],
-    bins: &[&BitString],
-    pred: impl Fn(&BitString) -> bool,
-) -> (Vec<ViewId>, Vec<ViewId>) {
-    let mut yes = Vec::new();
-    let mut no = Vec::new();
-    for (&v, b) in s.iter().zip(bins) {
-        if pred(b) {
-            yes.push(v);
-        } else {
-            no.push(v);
-        }
-    }
-    (yes, no)
-}
-
-/// The discriminatory index and discriminatory subview (Section 3) of a set
-/// of at least two distinct arena views of depth `>= 2` — the arena
-/// counterpart of [`discriminatory_index_and_subview`].
-pub fn discriminatory_index_and_subview_arena(
-    arena: &ShardedViewArena,
-    s: &[ViewId],
-) -> (usize, ViewId) {
-    assert!(s.len() >= 2);
-    assert!(
-        arena.depth(s[0]) >= 2,
-        "discriminatory index needs depth >= 2"
-    );
-    let mut sorted: Vec<ViewId> = s.to_vec();
-    sorted.sort_by(|&a, &b| arena.cmp_views(a, b));
-    let (a, b) = (sorted[0], sorted[1]);
-    let (ca, cb) = (arena.children(a), arena.children(b));
-    for i in 0..ca.len() {
-        if ca[i].1 != cb[i].1 {
-            let disc = if arena.cmp_views(ca[i].1, cb[i].1) == std::cmp::Ordering::Less {
-                ca[i].1
-            } else {
-                cb[i].1
-            };
-            return (i, disc);
-        }
-    }
-    panic!("views identical at depth l-1 but equal at depth l cannot both be in S");
 }
 
 /// Encodes the nested list `E2` as a bit string (`bin(E2)` of
@@ -651,18 +697,20 @@ mod tests {
             let mut ids: Vec<ViewId> = levels[1].clone();
             ids.sort_by(|&a, &b| arena.cmp_views(a, b));
             ids.dedup();
-            let mut memo = LabelMemo::new();
-            let arena_trie = build_trie_arena(&arena, &ids, None, &Vec::new(), &mut memo);
+            let bins: Vec<BitString> = ids.iter().map(|&id| bin_b1_arena(&arena, id)).collect();
+            let arena_trie = build_trie_codes(&bins);
             assert_eq!(arena_trie, oracle_trie, "E1 tries must be identical");
 
+            let e2 = Vec::new();
+            let mut memo = LabelMemo::new(&arena_trie, &e2);
             for v in g.nodes() {
                 assert_eq!(
-                    local_label_arena(&arena, levels[1][v], &[], &arena_trie),
+                    depth_one_label(&bin_b1_arena(&arena, levels[1][v]), &arena_trie),
                     local_label(&views[v], &[], &oracle_trie),
                     "depth-1 label of node {v}"
                 );
                 assert_eq!(
-                    retrieve_label_arena(&arena, levels[1][v], &arena_trie, &Vec::new(), &mut memo),
+                    retrieve_label_arena(&arena, levels[1][v], &mut memo),
                     retrieve_label(&views[v], &oracle_trie, &Vec::new())
                 );
             }
@@ -684,20 +732,20 @@ mod tests {
             .map(|(_, l)| l)
             .expect("caterpillar(4) has a non-trivial E2 entry");
         // Duplicate the first entry with a *different* trie shape so a
-        // double-count would be visible in the label sums.
+        // double-count would be visible in the label sums; label 0 (which
+        // no view carries) must not count either.
         let dup_label = list[0].0;
-        list.push((
-            dup_label,
-            Trie::internal((0, 1), Trie::leaf(), Trie::leaf()),
-        ));
+        let shape = Trie::internal((0, 1), Trie::leaf(), Trie::leaf());
+        list.push((dup_label, shape.clone()));
+        list.insert(0, (0, shape));
 
         let views = AugmentedView::compute_all(&g, advice.phi);
         let arena = ShardedViewArena::new();
         let levels = arena.compute_levels(&g, advice.phi);
-        let mut memo = LabelMemo::new();
+        let mut memo = LabelMemo::new(&advice.e1, &e2);
         for v in g.nodes() {
             assert_eq!(
-                retrieve_label_arena(&arena, levels[advice.phi][v], &advice.e1, &e2, &mut memo),
+                retrieve_label_arena(&arena, levels[advice.phi][v], &mut memo),
                 retrieve_label(&views[v], &advice.e1, &e2),
                 "node {v}"
             );
@@ -705,25 +753,39 @@ mod tests {
     }
 
     #[test]
-    fn arena_discriminatory_index_matches_tree_engine() {
-        let g = generators::lollipop(4, 4);
-        let views2 = AugmentedView::compute_all(&g, 2);
-        let views1 = AugmentedView::compute_all(&g, 1);
-        let arena = ShardedViewArena::new();
-        let levels = arena.compute_levels(&g, 2);
-        for u in g.nodes() {
-            for v in g.nodes() {
-                if u < v && views1[u] == views1[v] && views2[u] != views2[v] {
-                    let s_tree = vec![views2[u].clone(), views2[v].clone()];
-                    let (i_tree, disc_tree) = discriminatory_index_and_subview(&s_tree);
-                    let s_arena = vec![levels[2][u], levels[2][v]];
-                    let (i_arena, disc_arena) =
-                        discriminatory_index_and_subview_arena(&arena, &s_arena);
-                    assert_eq!(i_arena, i_tree);
-                    assert_eq!(arena.materialize(disc_arena), disc_tree);
+    fn class_discriminatory_index_matches_tree_engine() {
+        let mut groups = 0;
+        for g in [
+            generators::lollipop(4, 4),
+            generators::caterpillar(4),
+            generators::caterpillar(6),
+            generators::random_connected(20, 0.15, 2),
+        ] {
+            let views2 = AugmentedView::compute_all(&g, 2);
+            let views1 = AugmentedView::compute_all(&g, 1);
+            let table = anet_views::ViewClasses::compute(&g, 2);
+            let prev = ClassLevel::new(table.classes_at(1));
+            let level = ClassLevel::new(table.classes_at(2));
+            for b in 0..prev.reps.len() {
+                // The distinct depth-2 views whose depth-1 truncation is b.
+                let mut set: Vec<ClassId> = (0..level.reps.len())
+                    .filter(|&c| prev.row[level.reps[c]] == b)
+                    .collect();
+                if set.len() < 2 {
+                    continue;
                 }
+                groups += 1;
+                let s_tree: Vec<AugmentedView> =
+                    set.iter().map(|&c| views2[level.reps[c]].clone()).collect();
+                let (i_tree, disc_tree) = discriminatory_index_and_subview(&s_tree);
+                // The selection is by class rank, not by position in the set.
+                set.reverse();
+                let (i, disc) = discriminatory_index_of_classes(&g, &level, &prev, &set).unwrap();
+                assert_eq!(i, i_tree);
+                assert_eq!(views1[prev.reps[disc]], disc_tree);
             }
         }
+        assert!(groups > 0, "no depth-1 view splits at depth 2");
     }
 
     #[test]

@@ -17,12 +17,14 @@
 //!   itself with `RetrieveLabel`, and outputs the tree path to the root.
 //!   [`elect_all`] runs the whole pipeline and verifies the outcome.
 //!
-//! Both sides of the Section 3 pipeline run on the hash-consed view arena
-//! of `anet_views` (`ViewId` records instead of `Δ^depth`-node trees), which
-//! scales them to the 10k-node benchmark sweep; the materialized-tree
-//! implementations ([`advice_build::compute_advice_reference`],
-//! [`elect::elect_output`], the tree-based [`labels`] functions) are kept as
-//! correctness oracles for property tests.
+//! Neither side of the Section 3 pipeline materializes a view tree: the
+//! oracle works on the refinement class rows (class ids are canonical view
+//! ranks), and the nodes on the hash-consed view arena of `anet_views`
+//! (`ViewId` records instead of `Δ^depth`-node trees). Both run in
+//! near-linear time; the materialized-tree implementations
+//! ([`advice_build::compute_advice_reference`], [`elect::elect_output`],
+//! the tree-based [`labels`] functions) are kept as correctness oracles for
+//! property tests.
 //!
 //! ## Election in large time (Section 4)
 //!

@@ -430,7 +430,10 @@ mod tests {
             let counts = inst.compute_counts();
             assert_eq!(counts.analysis, 1, "one refinement/φ analysis");
             assert_eq!(counts.eccentricities, 1, "one BFS sweep");
-            assert_eq!(counts.levels, 1, "one arena level computation");
+            assert_eq!(
+                counts.levels, 0,
+                "ComputeAdvice reads class rows, not arena levels"
+            );
             assert_eq!(counts.advice, 1, "one ComputeAdvice run");
             assert!(
                 counts.class_deepenings <= 1,

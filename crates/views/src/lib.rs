@@ -11,13 +11,13 @@
 //! * [`ViewArena`] / [`ViewId`] — the hash-consed working representation of
 //!   views: each distinct subtree is interned once and identified by a dense
 //!   id, making structural equality `O(1)` and a whole view record `O(Δ)`
-//!   words. The simulator's `COM` exchange and the advice machinery operate
-//!   on arena ids; the explicit trees remain the correctness oracle.
+//!   words. The simulator's `COM` exchange and the node-side labelling
+//!   operate on arena ids; the explicit trees remain the correctness oracle.
 //! * [`ShardedViewArena`] — the mutex-striped, concurrently-internable
-//!   variant of the arena (per-shard dense id ranges, Cudd-style memo
-//!   caches for `truncate_one` and `cmp_views`). This is the store the
-//!   simulator and the election session actually run on; the sequential
-//!   [`ViewArena`] is its single-threaded oracle.
+//!   variant of the arena (per-shard dense id ranges, an exact per-shard
+//!   memo for `truncate_one`). This is the store the simulator and the
+//!   election session actually run on; the sequential [`ViewArena`] is its
+//!   single-threaded oracle.
 //! * [`ViewClasses`] — a partition-refinement table that computes, for every
 //!   depth `d`, the equivalence classes of nodes under `B^d(·)` equality
 //!   *without* materializing the (potentially exponential-size) view trees.
