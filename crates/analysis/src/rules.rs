@@ -767,7 +767,7 @@ pub fn scoped_threads(ws: &Workspace) -> Vec<Diagnostic> {
                     col: p + 1,
                     message: "bare `thread::spawn` detaches the thread and swallows panics"
                         .to_string(),
-                    help: "restructure around `std::thread::scope` (see anet-sim::parallel) \
+                    help: "restructure around `std::thread::scope` (see anet-graph::refine or anet-sim::adv) \
                            so every worker is joined and panics propagate"
                         .to_string(),
                 });

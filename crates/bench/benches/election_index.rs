@@ -4,7 +4,8 @@
 //! acceptance targets (10k-node graphs in seconds).
 
 use anet_bench::workloads;
-use anet_views::{election_index, election_index_naive, RefineOptions, ViewClasses};
+use anet_graph::RefineOptions;
+use anet_views::{election_index, election_index_naive, ViewClasses};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 /// Depth used when pitting the two class-table engines head to head: deep

@@ -21,7 +21,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use anet_election::{simulate_election, verify_election, Instance};
-use anet_views::RefineOptions;
+use anet_graph::RefineOptions;
 
 use crate::workloads;
 

@@ -17,8 +17,8 @@
 use std::io::Write as _;
 use std::time::Instant;
 
+use anet_graph::RefineOptions;
 use anet_views::election_index::analyze_with;
-use anet_views::RefineOptions;
 
 use crate::workloads;
 

@@ -31,12 +31,11 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use anet_families::{necklace, ring_of_cliques};
-use anet_graph::generators;
 use anet_graph::lift::{VoltageEdge, VoltageGraph};
 use anet_graph::quotient::connected_cyclic_lift;
+use anet_graph::{generators, RefineOptions};
 use anet_views::election_index::analyze_with;
 use anet_views::quotient::analyze_lift_unchecked;
-use anet_views::RefineOptions;
 
 /// One lift tier: the direct and the quotient analysis of the same graph.
 #[derive(Debug, Clone, PartialEq)]

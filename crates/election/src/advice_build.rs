@@ -18,8 +18,8 @@
 use std::collections::BTreeMap;
 
 use anet_advice::{codec, BitString, LabeledTree, Trie};
-use anet_graph::{algo, Graph, NodeId};
-use anet_views::{election_index, AugmentedView, ClassId};
+use anet_graph::{algo, ClassId, Graph, NodeId};
+use anet_views::{election_index, AugmentedView};
 
 use crate::encoding::bin_b1_node;
 use crate::error::ElectionError;

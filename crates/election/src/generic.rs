@@ -20,8 +20,8 @@
 //! emulated faithfully; only the representation of knowledge differs. This
 //! substitution is recorded in `DESIGN.md`.
 
-use anet_graph::{algo, Graph, NodeId, Port, PortPath};
-use anet_views::{walks, ClassId};
+use anet_graph::{algo, ClassId, Graph, NodeId, Port, PortPath};
+use anet_views::walks;
 
 use crate::error::ElectionError;
 use crate::instance::Instance;

@@ -43,12 +43,11 @@ use std::cell::{Cell, OnceCell, RefCell};
 use std::sync::Arc;
 
 use anet_graph::quotient::{MinimumBase, QuotientError};
-use anet_graph::{algo, Graph};
+use anet_graph::{algo, ClassId, Graph, NodeId, Port, RefineOptions};
 use anet_sim::SharedViewArena;
-use anet_views::quotient::{analyze_base, BaseAnalysis};
-use anet_views::{
-    ClassId, FeasibilityReport, RefineOptions, ShardedViewArena, ViewClasses, ViewId,
-};
+use anet_views::election_index::report_from_table;
+use anet_views::quotient::analyze_base;
+use anet_views::{FeasibilityReport, ShardedViewArena, ViewClasses, ViewId};
 
 use crate::advice_build::{compute_advice_in, Advice};
 use crate::error::ElectionError;
@@ -73,7 +72,7 @@ pub struct ComputeCounts {
     pub advice: usize,
     /// Minimum-base constructions plus their base-size refinement
     /// ([`Instance::minimum_base`] and the other `quotient_*` accessors all
-    /// share one cached [`MinimumBase`] + `BaseAnalysis` pair).
+    /// share one cached [`MinimumBase`] and its base class table).
     pub quotient: usize,
 }
 
@@ -84,12 +83,33 @@ struct Analysis {
     report: FeasibilityReport,
 }
 
-/// The cached quotient fast path: the minimum base of the graph plus its
-/// base-size refinement table. All transferred results are bit-identical to
-/// the direct computation (the oracle, asserted by tests and conformance).
+impl Analysis {
+    fn new((classes, stable_depth): (ViewClasses, usize)) -> Self {
+        let report = report_from_table(&classes, stable_depth);
+        Analysis { classes, report }
+    }
+
+    /// The class table extended to serve `depth` over `darts` (the rows it
+    /// was built on); returns whether any row was added.
+    fn deepen(
+        &mut self,
+        darts: &[Vec<(NodeId, Port)>],
+        depth: usize,
+        opts: &RefineOptions,
+    ) -> bool {
+        let before = self.classes.max_depth();
+        self.classes.ensure_depth(darts, depth, opts);
+        self.classes.max_depth() > before
+    }
+}
+
+/// The cached quotient fast path: the minimum base of the graph plus the
+/// analysis of its dart rows at the base's fold. All transferred results are
+/// bit-identical to the direct computation (the oracle, asserted by tests
+/// and conformance).
 struct QuotientState {
     base: MinimumBase,
-    analysis: BaseAnalysis,
+    analysis: Analysis,
 }
 
 /// A graph wrapped with lazily-computed, memoized election analysis.
@@ -175,12 +195,23 @@ impl Instance {
         let mut slot = self.analysis.borrow_mut();
         let analysis = slot.get_or_insert_with(|| {
             self.bump(|c| c.analysis += 1);
-            let (classes, stable_depth) =
-                ViewClasses::compute_until_stable_with(&self.graph, &self.opts);
-            let report = anet_views::election_index::report_from_table(&classes, stable_depth);
-            Analysis { classes, report }
+            Analysis::new(ViewClasses::compute_until_stable_with(
+                self.graph.adjacency(),
+                1,
+                &self.opts,
+            ))
         });
         f(analysis)
+    }
+
+    /// Runs `f` with the cached class table extended to serve `depth`.
+    fn with_classes_at<R>(&self, depth: usize, f: impl FnOnce(&ViewClasses) -> R) -> R {
+        self.with_analysis(|a| {
+            if a.deepen(self.graph.adjacency(), depth, &self.opts) {
+                self.bump(|c| c.class_deepenings += 1);
+            }
+            f(&a.classes)
+        })
     }
 
     /// The feasibility report of the graph (one refinement analysis,
@@ -219,31 +250,13 @@ impl Instance {
     /// is what makes the milestone schemes' huge `Generic(P)` parameters
     /// affordable.
     pub fn class_row(&self, depth: usize) -> Vec<ClassId> {
-        self.with_analysis(|a| {
-            if depth > a.classes.max_depth() {
-                let before = a.classes.max_depth();
-                a.classes.ensure_depth(&self.graph, depth, &self.opts);
-                if a.classes.max_depth() > before {
-                    self.bump(|c| c.class_deepenings += 1);
-                }
-            }
-            a.classes.row_at(depth).to_vec()
-        })
+        self.with_classes_at(depth, |classes| classes.row_at(depth).to_vec())
     }
 
     /// Number of distinct views at depth `depth` (same deep-depth resolution
     /// as [`class_row`](Instance::class_row)).
     pub fn num_classes_at(&self, depth: usize) -> usize {
-        self.with_analysis(|a| {
-            if depth > a.classes.max_depth() {
-                let before = a.classes.max_depth();
-                a.classes.ensure_depth(&self.graph, depth, &self.opts);
-                if a.classes.max_depth() > before {
-                    self.bump(|c| c.class_deepenings += 1);
-                }
-            }
-            a.classes.num_classes_deep(depth)
-        })
+        self.with_classes_at(depth, |classes| classes.num_classes_deep(depth))
     }
 
     /// Per-node eccentricities (one BFS per node, cached).
@@ -310,7 +323,7 @@ impl Instance {
         let state = slot.get_or_insert_with(|| {
             self.bump(|c| c.quotient += 1);
             MinimumBase::of(&self.graph).map(|base| {
-                let analysis = analyze_base(&base);
+                let analysis = Analysis::new(analyze_base(&base));
                 QuotientState { base, analysis }
             })
         });
@@ -347,7 +360,7 @@ impl Instance {
     /// stays the oracle, and the conformance corpus certifies the equality
     /// on every instance.
     pub fn quotient_feasibility(&self) -> Result<FeasibilityReport, QuotientError> {
-        self.with_quotient(|s| s.analysis.report())
+        self.with_quotient(|s| s.analysis.report.clone())
     }
 
     /// The depth-`depth` class row computed on the base and pulled back to
@@ -355,8 +368,10 @@ impl Instance {
     /// [`class_row`](Instance::class_row) at every depth.
     pub fn quotient_class_row(&self, depth: usize) -> Result<Vec<ClassId>, QuotientError> {
         self.with_quotient(|s| {
-            s.analysis.ensure_depth(s.base.dart_rows(), depth);
-            s.analysis.pullback_row(depth, s.base.colors())
+            s.analysis
+                .deepen(s.base.dart_rows(), depth, &RefineOptions::default());
+            let row = s.analysis.classes.row_at(depth);
+            s.base.colors().iter().map(|&c| row[c]).collect()
         })
     }
 

@@ -18,8 +18,8 @@
 use std::collections::HashMap;
 
 use anet_advice::{codec, BitString, Query, Trie, TrieRef};
-use anet_graph::{Graph, NodeId};
-use anet_views::{AugmentedView, ClassId, ShardedViewArena, ViewId};
+use anet_graph::{ClassId, Graph, NodeId};
+use anet_views::{AugmentedView, ShardedViewArena, ViewId};
 
 use crate::encoding::{bin_b1, bin_b1_arena};
 

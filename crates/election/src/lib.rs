@@ -40,7 +40,7 @@
 //! * [`instance`] — [`Instance`]: a graph wrapped with lazily-computed,
 //!   memoized analysis (view classes, φ, diameter/eccentricities, the
 //!   hash-consed view arena and the full advice). The single place
-//!   [`RefineOptions`](anet_views::RefineOptions) enters the election
+//!   [`RefineOptions`](anet_graph::RefineOptions) enters the election
 //!   layer.
 //! * [`scheme`] — [`AdviceScheme`]: every algorithm family above as a
 //!   pluggable scheme ([`MinTime`], [`Generic`], [`MilestoneScheme`],

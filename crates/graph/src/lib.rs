@@ -22,9 +22,14 @@
 //! * [`dot`] — Graphviz export with port labels (used to regenerate the
 //!   construction figures of the paper),
 //! * [`relabel`] — node/port permutations used by the lower-bound families,
-//! * [`canon`] — the canonical stable-partition form and the
-//!   quotient-insensitive [`Graph::canonical_hash`] (the `anet-service`
-//!   session-cache key),
+//! * [`refine`] — the partition-refinement engine ([`Refiner`]): dense
+//!   class ranks of the truncated views at every depth, computed on dart
+//!   rows plus a fold, so a plain graph and a minimum base run the same
+//!   code; its one stopping rule serves both `anet-views`' class tables and
+//!   the canonical form,
+//! * [`canon`] — the canonical stable-partition form (the engine's classes
+//!   at the stable depth) and the quotient-insensitive
+//!   [`Graph::canonical_hash`] (the `anet-service` session-cache key),
 //! * [`lift`] — permutation-voltage lifts (covering graphs / fibrations):
 //!   adversarial generators with controlled view quotients, used by the
 //!   `anet-conformance` corpus,
@@ -50,6 +55,7 @@ pub mod graph;
 pub mod lift;
 pub mod path;
 pub mod quotient;
+pub mod refine;
 pub mod relabel;
 
 pub use builder::GraphBuilder;
@@ -58,3 +64,4 @@ pub use error::GraphError;
 pub use graph::{Graph, NodeId, Port};
 pub use path::PortPath;
 pub use quotient::{MinimumBase, QuotientError};
+pub use refine::{ClassId, RefineOptions, Refiner};

@@ -1,8 +1,18 @@
-//! Flat-buffer, sort-based partition refinement.
+//! Flat-buffer, sort-based partition refinement on dart rows.
 //!
-//! This module is the allocation-free engine behind [`ViewClasses`]: it ranks
-//! the refinement keys of all nodes at one depth without materializing any
-//! per-node key objects. The refinement key of a node `v` at depth `d` is
+//! This module is the refinement engine of the workspace: it ranks the
+//! refinement keys of all nodes at one depth without materializing any
+//! per-node key objects. It runs on *dart rows* `rows[v][p] = (u, q)` (port
+//! `p` of `v` leads to `u`, arriving on port `q`) covering `rows.len() *
+//! fold` nodes. A plain graph is its own base with fold 1
+//! ([`Graph::adjacency`](crate::Graph::adjacency)); a minimum base
+//! ([`MinimumBase::dart_rows`](crate::MinimumBase::dart_rows)) covers its
+//! input graph with fold `n / C`. The covering map is a port-preserving
+//! local isomorphism, so the multiset of keys of the cover is `fold` copies
+//! of the base's and the dense ranks computed on the base are exactly the
+//! cover's ranks at every depth.
+//!
+//! The refinement key of a node `v` at depth `d` is
 //!
 //! ```text
 //! (deg(v), [(q_0, c_0), (q_1, c_1), ..., (q_{deg(v)-1}, c_{deg(v)-1})])
@@ -18,7 +28,7 @@
 //!
 //! The scratch is a flattened CSR structure shared by every depth:
 //!
-//! * `offsets` — `n + 1` prefix sums of degrees, built once per graph. Node
+//! * `offsets` — `n + 1` prefix sums of degrees, built once per input. Node
 //!   `v`'s key words live at `words[offsets[v]..offsets[v + 1]]`; the slice
 //!   length *is* the degree, so degree-first comparison falls out of a
 //!   `(len, slice)` comparison.
@@ -47,8 +57,8 @@
 //!    the distinct keys in canonical order.
 //!
 //! With [`RefineOptions::threads`] ` > 1` every stage runs on
-//! `std::thread::scope` workers (mirroring `anet-sim`'s parallel executor)
-//! and produces **bit-identical** ranks to the sequential path:
+//! `std::thread::scope` workers and produces **bit-identical** ranks to the
+//! sequential path:
 //!
 //! * the key fill splits the CSR word buffer into disjoint per-chunk slices,
 //! * the degree counting sort becomes the textbook parallel counting sort —
@@ -66,14 +76,24 @@
 //!   `O(Δ)`-per-element comparisons) and a sequential `O(n)` prefix
 //!   accumulation over the flags.
 //!
-//! The only per-depth allocation is the returned class row itself, which is
-//! the output stored in the [`ViewClasses`] table.
+//! The only per-depth allocation is the returned class row itself.
 //!
-//! [`ViewClasses`]: crate::ViewClasses
+//! ## Stopping rule
+//!
+//! [`Refiner::run_until_stable`] is the one place the refinement decides it
+//! is done: it stops at the first depth whose class count reaches the
+//! covered node count, or at the first depth whose extension did not grow
+//! the count. `anet-views`' class table and [`Graph::canonical_form`] both
+//! run on it.
+//!
+//! [`Graph::canonical_form`]: crate::Graph::canonical_form
 
-use anet_graph::{Graph, NodeId};
+use crate::graph::{NodeId, Port};
 
-use crate::classes::ClassId;
+/// A dense class identifier. Classes at depth `d` are numbered `0..k_d` in
+/// the canonical order of the corresponding views (class 0 is the
+/// lexicographically smallest view at that depth).
+pub type ClassId = usize;
 
 /// Largest bucket count the radix path may ask of the reused histogram
 /// (64 Ki buckets = 512 KiB of `usize` counts, allocated lazily once).
@@ -104,15 +124,21 @@ impl Default for RefineOptions {
     }
 }
 
-/// Reusable scratch state for refining one graph across depths.
+/// Reusable scratch state for refining one set of dart rows across depths.
 ///
-/// Construct once per graph with [`Refiner::new`], then call
+/// Construct once per input with [`Refiner::new`], then either call
+/// [`run_until_stable`](Refiner::run_until_stable), or call
 /// [`rank_by_degree`](Refiner::rank_by_degree) for depth 0 and
 /// [`extend`](Refiner::extend) once per further depth. All internal buffers
 /// are reused between calls.
 #[derive(Debug)]
-pub struct Refiner {
-    n: usize,
+pub struct Refiner<'a> {
+    /// The dart rows: `rows[v][p] = (u, q)`.
+    rows: &'a [Vec<(NodeId, Port)>],
+    /// Number of nodes the rows cover: `rows.len() * fold`.
+    covered: usize,
+    /// Largest row length (the maximum degree).
+    max_degree: usize,
     /// CSR offsets: node `v`'s words live at `words[offsets[v]..offsets[v+1]]`.
     offsets: Vec<usize>,
     /// Packed `(reverse_port, neighbor_class)` words for the current depth.
@@ -135,21 +161,24 @@ pub struct Refiner {
     group_bounds: Vec<(usize, usize)>,
 }
 
-impl Refiner {
-    /// Allocates scratch sized for `g`; the only allocations the engine ever
-    /// performs besides the per-depth output rows (the per-thread rows grow
-    /// lazily on the first parallel pass).
-    pub fn new(g: &Graph) -> Self {
-        let n = g.num_nodes();
+impl<'a> Refiner<'a> {
+    /// Allocates scratch sized for `rows`, which cover `rows.len() * fold`
+    /// nodes; the only allocations the engine ever performs besides the
+    /// per-depth output rows (the per-thread rows grow lazily on the first
+    /// parallel pass).
+    pub fn new(rows: &'a [Vec<(NodeId, Port)>], fold: usize) -> Self {
+        let n = rows.len();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut total = 0usize;
         offsets.push(0);
-        for v in 0..n {
-            total += g.degree(v);
+        for row in rows {
+            total += row.len();
             offsets.push(total);
         }
         Refiner {
-            n,
+            rows,
+            covered: n * fold,
+            max_degree: rows.iter().map(Vec::len).max().unwrap_or(0),
             offsets,
             words: vec![0; total],
             order: vec![0; n],
@@ -162,18 +191,60 @@ impl Refiner {
         }
     }
 
+    /// Number of rows (nodes of the base).
+    fn n(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Degree of row `v`.
+    fn degree(&self, v: NodeId) -> usize {
+        self.rows[v].len()
+    }
+
+    /// Refines from depth 0 until the stopping rule fires and returns the
+    /// stable depth `s`: the first depth whose class count reaches the
+    /// covered node count, or else the first depth whose extension did not
+    /// grow the count. From `s` on the partition no longer changes, so the
+    /// depth-`s` classes separate exactly the nodes with different infinite
+    /// views.
+    ///
+    /// `keep` receives the class row and class count of every depth
+    /// `0..=s`, in order, as soon as the engine no longer needs the row. A
+    /// caller that keeps only the latest row holds `O(n + m)` memory however
+    /// deep the refinement runs.
+    pub fn run_until_stable(
+        &mut self,
+        opts: &RefineOptions,
+        mut keep: impl FnMut(Vec<ClassId>, usize),
+    ) -> usize {
+        let (mut row, mut k) = self.rank_by_degree();
+        let mut depth = 0;
+        while k != self.covered {
+            let (next, k_next) = self.extend(&row, k, opts);
+            keep(std::mem::replace(&mut row, next), k);
+            depth += 1;
+            if k_next == k {
+                break;
+            }
+            k = k_next;
+        }
+        keep(row, k);
+        depth
+    }
+
     /// Depth-0 ranking: dense ranks of the node degrees (the depth-0 key is
     /// the degree alone). Returns the class row and the class count. One
     /// `O(n)` counting pass — always sequential.
-    pub fn rank_by_degree(&mut self, g: &Graph) -> (Vec<ClassId>, usize) {
-        self.sort_by_degree(g, 1);
-        let mut ranks = vec![0; self.n];
+    pub fn rank_by_degree(&mut self) -> (Vec<ClassId>, usize) {
+        self.sort_by_degree(1);
+        let n = self.n();
+        let mut ranks = vec![0; n];
         let mut k = 0;
-        if self.n > 0 {
+        if n > 0 {
             let mut rank = 0;
             ranks[self.order[0]] = 0;
-            for i in 1..self.n {
-                if g.degree(self.order[i]) != g.degree(self.order[i - 1]) {
+            for i in 1..n {
+                if self.degree(self.order[i]) != self.degree(self.order[i - 1]) {
                     rank += 1;
                 }
                 ranks[self.order[i]] = rank;
@@ -184,39 +255,36 @@ impl Refiner {
     }
 
     /// One depth extension: given the previous depth's class row `prev` with
-    /// `k_prev` classes, computes the class row of the next depth. This is
-    /// the shared step behind both `ViewClasses::compute` and
-    /// `ViewClasses::compute_until_stable`.
+    /// `k_prev` classes, computes the class row of the next depth.
     pub fn extend(
         &mut self,
-        g: &Graph,
         prev: &[ClassId],
         k_prev: usize,
         opts: &RefineOptions,
     ) -> (Vec<ClassId>, usize) {
-        debug_assert_eq!(prev.len(), self.n);
+        debug_assert_eq!(prev.len(), self.n());
         let threads = opts.threads.max(1);
-        self.fill_keys(g, prev, k_prev, threads);
-        self.sort_by_degree(g, threads);
-        self.sort_groups_by_words(g, k_prev, threads);
+        self.fill_keys(prev, k_prev, threads);
+        self.sort_by_degree(threads);
+        self.sort_groups_by_words(k_prev, threads);
         self.rank_sorted(threads)
     }
 
     /// Key fill: `words[offsets[v] + p] = q_p * k_prev + c_p`.
-    fn fill_keys(&mut self, g: &Graph, prev: &[ClassId], k_prev: usize, threads: usize) {
+    fn fill_keys(&mut self, prev: &[ClassId], k_prev: usize, threads: usize) {
         let k = k_prev as u64;
-        if threads <= 1 || self.n < PARALLEL_MIN_NODES {
-            for v in 0..self.n {
+        let (n, rows) = (self.n(), self.rows);
+        if threads <= 1 || n < PARALLEL_MIN_NODES {
+            for (v, row) in rows.iter().enumerate() {
                 let base = self.offsets[v];
-                for (p, &(u, q)) in g.neighbor_slice(v).iter().enumerate() {
+                for (p, &(u, q)) in row.iter().enumerate() {
                     self.words[base + p] = q as u64 * k + prev[u] as u64;
                 }
             }
             return;
         }
         // Parallel path: disjoint word ranges per node chunk, one scoped
-        // thread each (same pattern as anet-sim's ParallelRunner phases).
-        let n = self.n;
+        // thread each.
         let chunk = n.div_ceil(threads).max(1);
         let offsets = &self.offsets;
         std::thread::scope(|scope| {
@@ -231,8 +299,8 @@ impl Refiner {
                 rest = tail;
                 scope.spawn(move || {
                     let mut w = 0;
-                    for v in lo..hi {
-                        for &(u, q) in g.neighbor_slice(v) {
+                    for row in &rows[lo..hi] {
+                        for &(u, q) in row {
                             mine[w] = q as u64 * k + prev[u] as u64;
                             w += 1;
                         }
@@ -246,30 +314,31 @@ impl Refiner {
     /// component). With `threads > 1` this is the parallel counting sort
     /// described in the [module docs](self); its output is bit-identical to
     /// the sequential pass.
-    fn sort_by_degree(&mut self, g: &Graph, threads: usize) {
-        let buckets = g.max_degree() + 1;
-        let threads = threads.max(1).min(self.n.max(1));
-        if threads <= 1 || self.n < PARALLEL_MIN_NODES || buckets > RADIX_MAX_BUCKETS {
+    fn sort_by_degree(&mut self, threads: usize) {
+        let (n, rows) = (self.n(), self.rows);
+        let buckets = self.max_degree + 1;
+        let threads = threads.max(1).min(n.max(1));
+        if threads <= 1 || n < PARALLEL_MIN_NODES || buckets > RADIX_MAX_BUCKETS {
             self.reset_counts(buckets);
-            for v in 0..self.n {
-                self.counts[g.degree(v)] += 1;
+            for row in rows {
+                self.counts[row.len()] += 1;
             }
             prefix_sums(&mut self.counts[..buckets]);
-            for v in 0..self.n {
-                let slot = &mut self.counts[g.degree(v)];
+            for (v, row) in rows.iter().enumerate() {
+                let slot = &mut self.counts[row.len()];
                 self.order[*slot] = v;
                 *slot += 1;
             }
             return;
         }
-        self.parallel_sort_by_degree(g, buckets, threads);
+        self.parallel_sort_by_degree(buckets, threads);
     }
 
     /// The four-phase parallel counting sort: per-chunk histograms, local
     /// stable scatters into `aux`, a sequential global prefix merge, and a
     /// bucket-major parallel merge back into `order`.
-    fn parallel_sort_by_degree(&mut self, g: &Graph, buckets: usize, threads: usize) {
-        let n = self.n;
+    fn parallel_sort_by_degree(&mut self, buckets: usize, threads: usize) {
+        let (n, rows) = (self.n(), self.rows);
         let chunk = n.div_ceil(threads);
         let used = n.div_ceil(chunk);
         self.ensure_thread_rows(used, buckets);
@@ -279,8 +348,8 @@ impl Refiner {
                 let lo = t * chunk;
                 let hi = ((t + 1) * chunk).min(n);
                 scope.spawn(move || {
-                    for v in lo..hi {
-                        row[g.degree(v)] += 1;
+                    for dart_row in &rows[lo..hi] {
+                        row[dart_row.len()] += 1;
                     }
                 });
             }
@@ -313,7 +382,7 @@ impl Refiner {
                             running += row[b];
                         }
                         for v in lo..hi {
-                            let slot = &mut offs[g.degree(v)];
+                            let slot = &mut offs[rows[v].len()];
                             mine[*slot] = v;
                             *slot += 1;
                         }
@@ -398,19 +467,19 @@ impl Refiner {
     /// split) and the batches sort concurrently, each worker with its own
     /// histogram row; the radix/comparison choice per group is independent
     /// of the batching, so the sorted `order` is the sequential pass's.
-    fn sort_groups_by_words(&mut self, g: &Graph, k_prev: usize, threads: usize) {
+    fn sort_groups_by_words(&mut self, k_prev: usize, threads: usize) {
         // Upper bound on any packed word: reverse ports are < Δ and classes
         // are < k_prev.
-        let word_bound = (g.max_degree() as u64) * (k_prev as u64);
+        let word_bound = (self.max_degree as u64) * (k_prev as u64);
+        let (n, rows) = (self.n(), self.rows);
         let radix_buckets = if 1 <= word_bound && word_bound <= RADIX_MAX_BUCKETS as u64 {
             Some(word_bound as usize)
         } else {
             None
         };
-        let threads = threads.max(1).min(self.n.max(1));
-        if threads <= 1 || self.n < PARALLEL_MIN_NODES {
+        let threads = threads.max(1).min(n.max(1));
+        if threads <= 1 || n < PARALLEL_MIN_NODES {
             let Refiner {
-                n,
                 offsets,
                 words,
                 order,
@@ -419,10 +488,10 @@ impl Refiner {
                 ..
             } = self;
             let mut start = 0;
-            while start < *n {
-                let deg = g.degree(order[start]);
+            while start < n {
+                let deg = rows[order[start]].len();
                 let mut end = start + 1;
-                while end < *n && g.degree(order[end]) == deg {
+                while end < n && rows[order[end]].len() == deg {
                     end += 1;
                 }
                 if deg > 0 && end - start > 1 {
@@ -437,16 +506,16 @@ impl Refiner {
         // groups into ranges of roughly n/threads elements.
         self.group_bounds.clear();
         let mut start = 0;
-        while start < self.n {
-            let deg = g.degree(self.order[start]);
+        while start < n {
+            let deg = self.degree(self.order[start]);
             let mut end = start + 1;
-            while end < self.n && g.degree(self.order[end]) == deg {
+            while end < n && self.degree(self.order[end]) == deg {
                 end += 1;
             }
             self.group_bounds.push((start, end));
             start = end;
         }
-        let target = self.n.div_ceil(threads);
+        let target = n.div_ceil(threads);
         let mut cuts: Vec<usize> = vec![0];
         let mut acc = 0usize;
         for (i, &(s, e)) in self.group_bounds.iter().enumerate() {
@@ -491,7 +560,7 @@ impl Refiner {
                 let bounds = &group_bounds[glo..ghi];
                 scope.spawn(move || {
                     for &(s, e) in bounds {
-                        let deg = g.degree(o_mine[s - elo]);
+                        let deg = rows[o_mine[s - elo]].len();
                         if deg > 0 && e - s > 1 {
                             let o = &mut o_mine[s - elo..e - elo];
                             let a = &mut a_mine[s - elo..e - elo];
@@ -509,7 +578,7 @@ impl Refiner {
     /// run as a parallel boundary-flag sweep; the `O(n)` prefix accumulation
     /// over the flags stays sequential.
     fn rank_sorted(&mut self, threads: usize) -> (Vec<ClassId>, usize) {
-        let n = self.n;
+        let n = self.n();
         let mut ranks = vec![0; n];
         if n == 0 {
             return (ranks, 0);
@@ -680,15 +749,14 @@ fn prefix_sums(counts: &mut [usize]) {
 
 /// The seed engine, kept verbatim as the correctness oracle and the ablation
 /// baseline: per-depth key materialization into `(usize, Vec<(Port, ClassId)>)`
-/// tuples ranked through `BTreeMap`s. Hidden from docs; use
-/// [`ViewClasses`](crate::ViewClasses) for real work.
+/// tuples ranked through `BTreeMap`s. Hidden from docs; use [`Refiner`] for
+/// real work.
 #[doc(hidden)]
 pub mod legacy {
     use std::collections::BTreeMap;
 
-    use anet_graph::{Graph, Port};
-
-    use crate::classes::ClassId;
+    use super::ClassId;
+    use crate::graph::{Graph, Port};
 
     /// A materialized refinement key (the seed representation).
     pub type Key = (usize, Vec<(Port, ClassId)>);
@@ -746,18 +814,19 @@ pub mod legacy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anet_graph::generators;
+    use crate::generators;
+    use crate::graph::Graph;
 
     /// Runs the new engine and the legacy oracle side by side over all
     /// depths and asserts identical class rows and counts.
     fn check_against_legacy(g: &Graph, max_depth: usize, opts: &RefineOptions) {
         let (legacy_classes, legacy_counts) = legacy::compute(g, max_depth);
-        let mut refiner = Refiner::new(g);
-        let (mut row, mut k) = refiner.rank_by_degree(g);
+        let mut refiner = Refiner::new(g.adjacency(), 1);
+        let (mut row, mut k) = refiner.rank_by_degree();
         assert_eq!(row, legacy_classes[0], "depth 0 rows");
         assert_eq!(k, legacy_counts[0], "depth 0 counts");
         for d in 1..=max_depth {
-            (row, k) = refiner.extend(g, &legacy_classes[d - 1], legacy_counts[d - 1], opts);
+            (row, k) = refiner.extend(&legacy_classes[d - 1], legacy_counts[d - 1], opts);
             assert_eq!(row, legacy_classes[d], "depth {d} rows");
             assert_eq!(k, legacy_counts[d], "depth {d} counts");
         }
@@ -787,21 +856,21 @@ mod tests {
     /// sequential class rows bit for bit at every depth.
     fn check_thread_sweep(g: &Graph, depths: usize) {
         let seq = RefineOptions { threads: 1 };
-        let mut a = Refiner::new(g);
-        let (row0, k0) = a.rank_by_degree(g);
+        let mut a = Refiner::new(g.adjacency(), 1);
+        let (row0, k0) = a.rank_by_degree();
         let mut seq_rows = vec![(row0.clone(), k0)];
         for d in 1..=depths {
             let (prev, kp) = seq_rows[d - 1].clone();
-            seq_rows.push(a.extend(g, &prev, kp, &seq));
+            seq_rows.push(a.extend(&prev, kp, &seq));
         }
         for threads in [2usize, 3, 8] {
             let par = RefineOptions { threads };
-            let mut b = Refiner::new(g);
-            let (row0b, k0b) = b.rank_by_degree(g);
+            let mut b = Refiner::new(g.adjacency(), 1);
+            let (row0b, k0b) = b.rank_by_degree();
             assert_eq!((&row0b, k0b), (&seq_rows[0].0, seq_rows[0].1));
             for d in 1..=depths {
                 let (prev, kp) = &seq_rows[d - 1];
-                let (got, kg) = b.extend(g, prev, *kp, &par);
+                let (got, kg) = b.extend(prev, *kp, &par);
                 assert_eq!(got, seq_rows[d].0, "depth {d}, {threads} threads");
                 assert_eq!(kg, seq_rows[d].1, "depth {d}, {threads} threads");
             }
@@ -865,15 +934,15 @@ mod tests {
         let g = generators::random_connected_sparse(n, n, 9);
         let seq = RefineOptions { threads: 1 };
         let par = RefineOptions { threads: 4 };
-        let mut a = Refiner::new(&g);
-        let mut b = Refiner::new(&g);
-        let (row_a, k_a) = a.rank_by_degree(&g);
-        let (row_b, k_b) = b.rank_by_degree(&g);
+        let mut a = Refiner::new(g.adjacency(), 1);
+        let mut b = Refiner::new(g.adjacency(), 1);
+        let (row_a, k_a) = a.rank_by_degree();
+        let (row_b, k_b) = b.rank_by_degree();
         assert_eq!((&row_a, k_a), (&row_b, k_b));
         let (mut ra, mut ka) = (row_a, k_a);
         for _ in 0..4 {
-            let (na, nka) = a.extend(&g, &ra, ka, &seq);
-            let (nb, nkb) = b.extend(&g, &ra, ka, &par);
+            let (na, nka) = a.extend(&ra, ka, &seq);
+            let (nb, nkb) = b.extend(&ra, ka, &par);
             assert_eq!(na, nb);
             assert_eq!(nka, nkb);
             (ra, ka) = (na, nka);
@@ -889,19 +958,68 @@ mod tests {
         check_against_legacy(&g, 3, &RefineOptions::default());
     }
 
+    /// Every row the driver hands over, in order, with the stable depth.
+    fn run(rows: &[Vec<(NodeId, Port)>], fold: usize) -> (Vec<(Vec<ClassId>, usize)>, usize) {
+        let mut kept = Vec::new();
+        let stable = Refiner::new(rows, fold)
+            .run_until_stable(&RefineOptions::default(), |row, k| kept.push((row, k)));
+        (kept, stable)
+    }
+
+    #[test]
+    fn run_until_stable_applies_the_stopping_rule() {
+        // Feasible: the star's leaves differ from depth 1 on, where the
+        // class count reaches n.
+        let star = generators::star(4);
+        let (kept, stable) = run(star.adjacency(), 1);
+        assert_eq!((stable, kept.len(), kept[1].1), (1, 2, star.num_nodes()));
+        // Symmetric: the ring's one class never splits, so the first
+        // extension that does not grow the count is the stable depth.
+        let (kept, stable) = run(generators::ring(6).adjacency(), 1);
+        assert_eq!((stable, kept.len(), kept[1].1), (1, 2, 1));
+        // Empty input: zero classes cover zero nodes at depth 0.
+        assert_eq!(run(&[], 1), (vec![(vec![], 0)], 0));
+        // The rows are the depth-by-depth extension's, in depth order.
+        let g = generators::lollipop(5, 4);
+        let (kept, stable) = run(g.adjacency(), 1);
+        let (classes, counts) = legacy::compute(&g, stable);
+        assert_eq!(kept.len(), stable + 1);
+        for (d, (row, k)) in kept.iter().enumerate() {
+            assert_eq!((row, *k), (&classes[d], counts[d]), "depth {d}");
+        }
+        // The base of a connected 2-fold cover has all its classes distinct
+        // but never reaches the covered count: like the cover, it stops
+        // where the count stops growing, and its rows pull back to the
+        // cover's rows through the covering map.
+        let lift = crate::quotient::connected_cyclic_lift(&g, 2, 3)
+            .lift()
+            .unwrap();
+        let base = crate::MinimumBase::of(&lift).unwrap();
+        assert_eq!(base.fold(), 2);
+        let (base_kept, base_stable) = run(base.dart_rows(), base.fold());
+        let (lift_kept, lift_stable) = run(lift.adjacency(), 1);
+        assert_eq!(base_stable, lift_stable);
+        assert_eq!(base_kept.len(), lift_kept.len());
+        for ((brow, bk), (lrow, lk)) in base_kept.iter().zip(&lift_kept) {
+            assert_eq!(bk, lk);
+            let pulled: Vec<ClassId> = base.colors().iter().map(|&c| brow[c]).collect();
+            assert_eq!(&pulled, lrow);
+        }
+    }
+
     #[test]
     fn single_node_graph_is_one_class() {
         let g = Graph::from_adjacency(vec![vec![]]).unwrap();
-        let mut refiner = Refiner::new(&g);
-        let (row, k) = refiner.rank_by_degree(&g);
+        let mut refiner = Refiner::new(g.adjacency(), 1);
+        let (row, k) = refiner.rank_by_degree();
         assert_eq!(row, vec![0]);
         assert_eq!(k, 1);
-        let (row2, k2) = refiner.extend(&g, &row, k, &RefineOptions::default());
+        let (row2, k2) = refiner.extend(&row, k, &RefineOptions::default());
         assert_eq!(row2, vec![0]);
         assert_eq!(k2, 1);
         // The parallel options are a no-op below the size threshold but must
         // still be accepted.
-        let (row3, k3) = refiner.extend(&g, &row, k, &RefineOptions { threads: 8 });
+        let (row3, k3) = refiner.extend(&row, k, &RefineOptions { threads: 8 });
         assert_eq!((row3, k3), (vec![0], 1));
     }
 }

@@ -4,8 +4,11 @@
 //! Sessions are keyed by the **full canonical encoding** (not just its
 //! 64-bit hash), so a hash collision can never hand a job the wrong
 //! session; the hash is carried in responses as the human-readable key.
-//! Renumbered twins share an entry by construction: the encoding is
-//! invariant under renumbering ([`anet_graph::canon`]).
+//! Renumbered twins share an entry by construction: the encoding is built
+//! from the [`anet_graph::refine`] engine's class row at its stable depth,
+//! which depends only on views and ports, so it is invariant under
+//! renumbering ([`anet_graph::canon`]). Every job pays that one refinement,
+//! hits included; the cached session then answers without refining again.
 //!
 //! An [`Instance`] is `Send` but not `Sync` (its caches use interior
 //! mutability), so each slot guards its session with a
@@ -176,7 +179,7 @@ impl SessionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anet_views::RefineOptions;
+    use anet_graph::RefineOptions;
 
     fn session_for(g: &Graph) -> Session {
         let graph = Arc::new(g.clone());

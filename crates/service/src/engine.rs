@@ -22,9 +22,8 @@ use anet_election::{
 };
 use anet_graph::canon::CanonicalForm;
 use anet_graph::relabel::permute_nodes;
-use anet_graph::{Graph, GraphBuilder};
+use anet_graph::{Graph, GraphBuilder, RefineOptions};
 use anet_sim::{CrashEvent, CrashSemantics, FaultPlan};
-use anet_views::RefineOptions;
 use parking_lot::Mutex;
 
 use crate::cache::{CacheStats, Session, SessionCache};

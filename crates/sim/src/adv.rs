@@ -258,7 +258,7 @@ mod tests {
     use crate::fault::CrashEvent;
     use crate::runner::SyncRunner;
     use anet_graph::generators;
-    use anet_views::ShardedViewArena;
+    use anet_views::{AugmentedView, ShardedViewArena, ViewId};
     use parking_lot::Mutex;
     use std::sync::Arc;
 
@@ -301,6 +301,37 @@ mod tests {
                 assert_eq!(sync.stats, adv.stats);
             }
         }
+    }
+
+    #[test]
+    fn parallel_exchange_views_match_central_computation() {
+        let g = generators::random_connected(40, 0.08, 5);
+        let depth = 2;
+        let arena: SharedViewArena = Arc::new(ShardedViewArena::new());
+        let collected: Arc<Mutex<Vec<Option<ViewId>>>> =
+            Arc::new(Mutex::new(vec![None; g.num_nodes()]));
+        let outcome = AdvRunner::with_threads(&g, depth + 1, 4)
+            .run(&FaultPlan::none(), |v, _deg| {
+                let collected = Arc::clone(&collected);
+                ComNode::new(Arc::clone(&arena), depth, move |_arena, view| {
+                    collected.lock()[v] = Some(view);
+                    PortPath::empty()
+                })
+            })
+            .unwrap();
+        assert!(outcome.all_halted());
+        let central = AugmentedView::compute_all(&g, depth);
+        let ids = collected.lock();
+        for v in g.nodes() {
+            assert_eq!(arena.materialize(ids[v].unwrap()), central[v]);
+        }
+    }
+
+    #[test]
+    fn more_threads_than_nodes_is_fine() {
+        let g = generators::path(3);
+        let outcome = com_outcome_adv(&g, 1, 5, &FaultPlan::none(), 16);
+        assert!(outcome.all_halted());
     }
 
     #[test]

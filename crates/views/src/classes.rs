@@ -5,18 +5,14 @@
 //! view trees (whose size grows as `degree^depth`) and is the engine behind
 //! the election-index computation and the simulator's view oracle.
 //!
-//! The per-depth ranking work is delegated to [`crate::refine`], which keeps
-//! one flat reusable scratch per graph; this module only owns the resulting
-//! class table and the depth-iteration strategies.
+//! The per-depth ranking work and the stopping rule belong to
+//! [`anet_graph::refine`], which keeps one flat reusable scratch per input;
+//! this module only owns the resulting class table. A table is built on the
+//! dart rows of a graph (fold 1) or of a minimum base (fold `n / C`); a base
+//! table's rows are indexed by base node and pull back to the covered graph
+//! through the covering map bit for bit.
 
-use anet_graph::{Graph, NodeId};
-
-use crate::refine::{RefineOptions, Refiner};
-
-/// A dense class identifier. Classes at depth `d` are numbered `0..k_d` in
-/// the canonical order of the corresponding views (class 0 is the
-/// lexicographically smallest view at that depth).
-pub type ClassId = usize;
+use anet_graph::{ClassId, Graph, NodeId, Port, RefineOptions, Refiner};
 
 /// Table of view-equivalence classes for all depths `0..=max_depth`.
 ///
@@ -29,13 +25,16 @@ pub type ClassId = usize;
 ///
 /// Both are checked by property tests against the explicit trees, and the
 /// flat-buffer engine is additionally checked against the seed `BTreeMap`
-/// ranking kept in `refine::legacy`.
+/// ranking kept in `anet_graph::refine::legacy`.
 #[derive(Debug, Clone)]
 pub struct ViewClasses {
     /// `classes[d][v]` = class id of `B^d(v)`.
     classes: Vec<Vec<ClassId>>,
     /// `num_classes[d]` = number of distinct views at depth `d`.
     num_classes: Vec<usize>,
+    /// Fiber size of the covering map: each row entry stands for `fold`
+    /// nodes of the covered graph (1 on a plain graph).
+    fold: usize,
     /// First depth `j` (if any) whose class row equals the row at `j + 1`.
     /// Because each row is a deterministic function of the previous one,
     /// every depth `>= j` then carries the *identical* row — a labeling
@@ -47,6 +46,16 @@ pub struct ViewClasses {
 }
 
 impl ViewClasses {
+    /// An empty table for rows of the given fold.
+    fn empty(fold: usize) -> Self {
+        ViewClasses {
+            classes: Vec::new(),
+            num_classes: Vec::new(),
+            fold,
+            fixed_at: None,
+        }
+    }
+
     /// Computes classes for all depths `0..=max_depth`.
     pub fn compute(g: &Graph, max_depth: usize) -> Self {
         Self::compute_with(g, max_depth, &RefineOptions::default())
@@ -55,85 +64,83 @@ impl ViewClasses {
     /// [`compute`](Self::compute) with explicit engine options (e.g. a
     /// thread count for the parallel key-fill phase).
     pub fn compute_with(g: &Graph, max_depth: usize, opts: &RefineOptions) -> Self {
-        let (mut table, mut refiner) = Self::depth_zero(g);
+        let mut refiner = Refiner::new(g.adjacency(), 1);
+        let mut table = Self::empty(1);
+        let (c0, k0) = refiner.rank_by_degree();
+        table.push(c0, k0);
         for _ in 1..=max_depth {
-            table.extend_one_depth(g, &mut refiner, opts);
+            table.extend_one_depth(&mut refiner, opts);
         }
         table
     }
 
     /// Computes classes depth by depth until the partition stabilizes (the
-    /// number of classes stops growing), and returns the table together with
-    /// the first depth at which the partition is stable.
+    /// class count reaches `n` or stops growing), and returns the table
+    /// together with the first depth at which the partition is stable.
     ///
     /// For the port-ordered refinement used here, once the class count does
     /// not grow from depth `d-1` to depth `d`, the partition is the same at
     /// every larger depth, so views at depth `>= d-1` separate exactly the
     /// same node pairs as infinite views.
     pub fn compute_until_stable(g: &Graph) -> (Self, usize) {
-        Self::compute_until_stable_with(g, &RefineOptions::default())
+        Self::compute_until_stable_with(g.adjacency(), 1, &RefineOptions::default())
     }
 
-    /// [`compute_until_stable`](Self::compute_until_stable) with explicit
-    /// engine options.
-    pub fn compute_until_stable_with(g: &Graph, opts: &RefineOptions) -> (Self, usize) {
-        let n = g.num_nodes();
-        let (mut table, mut refiner) = Self::depth_zero(g);
-        loop {
-            let d = table.max_depth();
-            if table.num_classes[d] == n {
-                return (table, d);
-            }
-            if table.extend_one_depth(g, &mut refiner, opts) {
-                return (table, d + 1);
-            }
-        }
+    /// [`compute_until_stable`](Self::compute_until_stable) on dart rows
+    /// covering `darts.len() * fold` nodes, with explicit engine options.
+    /// A graph passes [`Graph::adjacency`] with fold 1; a minimum base
+    /// passes [`MinimumBase::dart_rows`](anet_graph::MinimumBase::dart_rows)
+    /// with its fold, and its rows, counts and stable depth are those of the
+    /// covered graph (rows indexed by base node).
+    pub fn compute_until_stable_with(
+        darts: &[Vec<(NodeId, Port)>],
+        fold: usize,
+        opts: &RefineOptions,
+    ) -> (Self, usize) {
+        let mut table = Self::empty(fold);
+        let stable = Refiner::new(darts, fold).run_until_stable(opts, |row, k| table.push(row, k));
+        (table, stable)
     }
 
-    /// The depth-0 table (classes by degree) plus the reusable engine
-    /// scratch for extending it.
-    fn depth_zero(g: &Graph) -> (Self, Refiner) {
-        let mut refiner = Refiner::new(g);
-        let (c0, k0) = refiner.rank_by_degree(g);
-        let table = ViewClasses {
-            classes: vec![c0],
-            num_classes: vec![k0],
-            fixed_at: None,
-        };
-        (table, refiner)
-    }
-
-    /// Extends the table by one depth through the shared refinement step and
-    /// returns whether the partition just stabilized (class count did not
-    /// grow).
-    fn extend_one_depth(&mut self, g: &Graph, refiner: &mut Refiner, opts: &RefineOptions) -> bool {
-        let d = self.max_depth();
-        let (row, k) = refiner.extend(g, &self.classes[d], self.num_classes[d], opts);
-        let stable = k == self.num_classes[d];
-        if self.fixed_at.is_none() && row == self.classes[d] {
-            self.fixed_at = Some(d);
+    /// Appends the next depth's row, recording the labeling fixed point the
+    /// first time a row repeats its predecessor.
+    fn push(&mut self, row: Vec<ClassId>, k: usize) {
+        if self.fixed_at.is_none() && self.classes.last() == Some(&row) {
+            self.fixed_at = Some(self.max_depth());
         }
         self.classes.push(row);
         self.num_classes.push(k);
-        stable
+    }
+
+    /// Extends the table by one depth through the shared refinement step.
+    fn extend_one_depth(&mut self, refiner: &mut Refiner, opts: &RefineOptions) {
+        let d = self.max_depth();
+        let (row, k) = refiner.extend(&self.classes[d], self.num_classes[d], opts);
+        self.push(row, k);
     }
 
     /// Extends the table so that [`row_at`](Self::row_at) can answer depth
     /// `depth`: grows the table row by row until either `depth` is stored or
     /// a labeling fixed point is found (from which every deeper row is known
     /// to be identical). No-op when the table can already answer `depth`.
+    /// `darts` must be the rows the table was built on.
     ///
     /// Each added row is the same deterministic function of its predecessor
     /// that [`compute`](Self::compute) applies, so a table extended on demand
     /// is indistinguishable from one computed to the target depth up front
     /// (asserted by tests).
-    pub fn ensure_depth(&mut self, g: &Graph, depth: usize, opts: &RefineOptions) {
+    pub fn ensure_depth(
+        &mut self,
+        darts: &[Vec<(NodeId, Port)>],
+        depth: usize,
+        opts: &RefineOptions,
+    ) {
         if self.fixed_at.is_some() || depth <= self.max_depth() {
             return;
         }
-        let mut refiner = Refiner::new(g);
+        let mut refiner = Refiner::new(darts, self.fold);
         while self.max_depth() < depth && self.fixed_at.is_none() {
-            self.extend_one_depth(g, &mut refiner, opts);
+            self.extend_one_depth(&mut refiner, opts);
         }
     }
 
@@ -176,10 +183,11 @@ impl ViewClasses {
     /// against the original implementation; not part of the public API.
     #[doc(hidden)]
     pub fn compute_legacy(g: &Graph, max_depth: usize) -> Self {
-        let (classes, num_classes) = crate::refine::legacy::compute(g, max_depth);
+        let (classes, num_classes) = anet_graph::refine::legacy::compute(g, max_depth);
         ViewClasses {
             classes,
             num_classes,
+            fold: 1,
             fixed_at: None,
         }
     }
@@ -187,6 +195,11 @@ impl ViewClasses {
     /// Largest depth stored in the table.
     pub fn max_depth(&self) -> usize {
         self.classes.len() - 1
+    }
+
+    /// Number of nodes the table covers: rows × fold.
+    pub(crate) fn covered_nodes(&self) -> usize {
+        self.classes[0].len() * self.fold
     }
 
     /// The class of `B^d(v)`.
@@ -202,9 +215,10 @@ impl ViewClasses {
         self.num_classes[d]
     }
 
-    /// Whether all nodes have distinct views at depth `d`.
+    /// Whether all covered nodes have distinct views at depth `d` (never on
+    /// a base of fold `>= 2`).
     pub fn all_distinct_at(&self, d: usize) -> bool {
-        self.num_classes[d] == self.classes[d].len()
+        self.num_classes[d] == self.covered_nodes()
     }
 
     /// The nodes whose view at depth `d` is the lexicographically smallest
@@ -255,7 +269,7 @@ mod tests {
     /// depth, on seeded random graphs. The `threads` runs here only cover
     /// the option plumbing (the graphs sit below the engine's parallel
     /// threshold); the threaded fill itself is exercised by
-    /// `refine::tests::parallel_key_fill_matches_sequential` and
+    /// `anet_graph::refine::tests::parallel_key_fill_matches_sequential` and
     /// `election_index::tests::analyze_with_threads_matches_sequential`.
     fn check_against_legacy_oracle(g: &Graph, max_depth: usize, threads: usize) {
         let oracle = ViewClasses::compute_legacy(g, max_depth);
@@ -340,7 +354,7 @@ mod tests {
             (generators::ring(7), 1, 5),
         ] {
             let mut lazy = ViewClasses::compute(&g, start);
-            lazy.ensure_depth(&g, target, &RefineOptions::default());
+            lazy.ensure_depth(g.adjacency(), target, &RefineOptions::default());
             let eager = ViewClasses::compute(&g, target);
             for d in 0..=target {
                 assert_eq!(lazy.row_at(d), eager.classes_at(d), "depth {d}");
@@ -356,7 +370,7 @@ mod tests {
         // and agree with the direct computation.
         let g = generators::lollipop(5, 4);
         let mut table = ViewClasses::compute(&g, 0);
-        table.ensure_depth(&g, 1_000_000, &RefineOptions::default());
+        table.ensure_depth(g.adjacency(), 1_000_000, &RefineOptions::default());
         assert!(
             table.fixed_at.is_some(),
             "the lollipop refinement reaches a labeling fixed point"

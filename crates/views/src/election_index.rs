@@ -7,10 +7,9 @@
 //! distinct, which happens iff the refinement of [`crate::ViewClasses`]
 //! reaches the discrete partition.
 
-use anet_graph::Graph;
+use anet_graph::{Graph, RefineOptions};
 
 use crate::classes::ViewClasses;
-use crate::refine::RefineOptions;
 use crate::view::AugmentedView;
 
 /// Result of the feasibility analysis of a graph.
@@ -35,33 +34,27 @@ pub fn analyze(g: &Graph) -> FeasibilityReport {
 /// [`analyze`] with explicit refinement-engine options (e.g. a thread count
 /// for the parallel key-fill phase on large graphs).
 pub fn analyze_with(g: &Graph, opts: &RefineOptions) -> FeasibilityReport {
-    let (table, stable_depth) = ViewClasses::compute_until_stable_with(g, opts);
+    let (table, stable_depth) = ViewClasses::compute_until_stable_with(g.adjacency(), 1, opts);
     report_from_table(&table, stable_depth)
 }
 
 /// Derives the [`FeasibilityReport`] from an already-stabilized class table
 /// (the output shape of [`ViewClasses::compute_until_stable`]): feasibility
-/// is reaching the discrete partition, and φ is the first all-distinct
-/// depth. Shared by [`analyze_with`] and by callers that keep the table
+/// is reaching the discrete partition of the covered nodes (rows × fold, so
+/// a base of fold `>= 2` is never feasible), and φ is the first
+/// all-distinct depth. Shared by [`analyze_with`], the base-time
+/// [`analyze_lift`](crate::analyze_lift) and callers that keep the table
 /// itself (e.g. the election layer's analysis-caching `Instance`).
 pub fn report_from_table(table: &ViewClasses, stable_depth: usize) -> FeasibilityReport {
-    let n = table.classes_at(0).len();
-    let distinct = table.num_classes(table.max_depth());
-    if distinct < n {
-        return FeasibilityReport {
-            feasible: false,
-            election_index: None,
-            distinct_views: distinct,
-            stable_depth,
-        };
-    }
-    // Feasible: φ is the first depth with n distinct classes.
-    let phi = (0..=table.max_depth())
-        .find(|&d| table.all_distinct_at(d))
-        .expect("discrete partition reached");
+    let max = table.max_depth();
+    let distinct = table.num_classes(max);
+    let feasible = distinct >= table.covered_nodes();
+    // φ is the first depth with n distinct classes; the deepest row has
+    // them on a feasible table, so the fallback is never taken.
+    let phi = || (0..=max).find(|&d| table.all_distinct_at(d)).unwrap_or(max);
     FeasibilityReport {
-        feasible: true,
-        election_index: Some(phi),
+        feasible,
+        election_index: feasible.then(phi),
         distinct_views: distinct,
         stable_depth,
     }
@@ -213,7 +206,7 @@ mod tests {
         for seed in 0..2 {
             let g = generators::random_connected_sparse(3000, 3000, seed);
             let seq = analyze(&g);
-            let par = analyze_with(&g, &crate::refine::RefineOptions { threads: 4 });
+            let par = analyze_with(&g, &RefineOptions { threads: 4 });
             assert_eq!(seq, par, "seed {seed}");
         }
     }

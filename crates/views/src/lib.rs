@@ -24,18 +24,16 @@
 //!   Class ranks are assigned consistently with the canonical order of the
 //!   corresponding views, so the table can also answer "which node has the
 //!   lexicographically smallest view at depth `d`".
-//! * [`refine`] — the flat-buffer, sort-based ranking engine behind
-//!   [`ViewClasses`]: a CSR scratch of packed `u64` key words reused across
-//!   depths and counting/radix sorts for the ranking. With
-//!   [`RefineOptions::threads`] ` > 1` every stage — key fill, counting
-//!   sort, per-group radix sorts, rank sweep — runs on `std::thread::scope`
-//!   workers with bit-identical output, scaling the refinement to graphs
-//!   with millions of nodes.
+//!   The ranking engine and its stopping rule live in
+//!   [`anet_graph::refine`] (a CSR scratch of packed `u64` key words on dart
+//!   rows, counting/radix sorts, bit-identical parallel passes with
+//!   [`RefineOptions::threads`](anet_graph::RefineOptions::threads)
+//!   ` > 1`); a table is built on a graph or on a minimum base.
 //! * [`election_index()`] — the election index `φ(G)`: the smallest `l` such
 //!   that the augmented truncated views at depth `l` of all nodes are
 //!   distinct (Proposition 2.1), or `None` when the graph is infeasible.
-//! * [`quotient`] — the base-time fast path: [`BaseAnalysis`] runs the exact
-//!   refinement recurrence on the minimum base (Boldi–Vigna fibrations) at
+//! * [`quotient`] — the base-time fast path: [`analyze_base`] builds the
+//!   [`ViewClasses`] table of the minimum base (Boldi–Vigna fibrations) at
 //!   quotient size, and every row, count, φ and feasibility verdict pulls
 //!   back bit-identically to the covered graph; [`analyze_lift`] analyzes a
 //!   voltage lift without ever materializing it.
@@ -60,15 +58,13 @@ pub mod arena;
 pub mod classes;
 pub mod election_index;
 pub mod quotient;
-pub mod refine;
 pub mod sharded;
 pub mod view;
 pub mod walks;
 
 pub use arena::{ViewArena, ViewId};
-pub use classes::{ClassId, ViewClasses};
+pub use classes::ViewClasses;
 pub use election_index::{election_index, election_index_naive, is_feasible, FeasibilityReport};
-pub use quotient::{analyze_base, analyze_lift, analyze_lift_unchecked, BaseAnalysis};
-pub use refine::{RefineOptions, Refiner};
+pub use quotient::{analyze_base, analyze_lift, analyze_lift_unchecked};
 pub use sharded::ShardedViewArena;
 pub use view::AugmentedView;

@@ -7,11 +7,9 @@
 //! (target, reverse slot)`): by induction the per-depth class of `(b, i)`
 //! is the class of `b`, with **identical dense ranks** — the multiset of
 //! lift keys is `fold` copies of the base multiset, so sorting and
-//! dense-ranking assign the very same ids. [`BaseAnalysis`] runs the exact
-//! ranking recurrence of [`crate::refine`] (degree first, then the packed
-//! `q * k + c` word sequence, dense re-rank, the
-//! [`ViewClasses`](crate::ViewClasses) stopping rule against the *lift's*
-//! node count) on a structure of quotient size, and every result —
+//! dense-ranking assign the very same ids. The refinement engine therefore
+//! runs on the dart rows at quotient size with the base's fold (its
+//! stopping rule counts the lift's `rows × fold` nodes), and every result —
 //! per-depth class rows, distinct-view counts, stabilization depth,
 //! feasibility, φ — transfers back bit-identically through the covering
 //! map. The direct computation on the materialized lift remains the oracle
@@ -29,209 +27,18 @@
 
 use anet_graph::lift::VoltageGraph;
 use anet_graph::quotient::{base_dart_rows, validate_lift, MinimumBase, QuotientError};
-use anet_graph::Port;
+use anet_graph::RefineOptions;
 
-use crate::classes::ClassId;
-use crate::election_index::FeasibilityReport;
+use crate::classes::ViewClasses;
+use crate::election_index::{report_from_table, FeasibilityReport};
 
-/// The per-depth refinement table of a base multigraph, mirroring the
-/// `anet-views` engine's ranks and stopping rule for the lift it covers.
-/// Rows are indexed by base node; [`pullback_row`](BaseAnalysis::pullback_row)
-/// transfers a row to the lift through the covering map.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaseAnalysis {
-    rows: Vec<Vec<ClassId>>,
-    counts: Vec<usize>,
-    stable_depth: usize,
-    fold: usize,
-    fixed_at: Option<usize>,
-}
-
-/// Depth-0 ranking: dense ranks of the base degrees (ascending), exactly as
-/// `Refiner::rank_by_degree` ranks the lift (every base degree appears
-/// `fold` times there, which leaves the dense ranks unchanged).
-fn rank_by_degree(darts: &[Vec<(usize, Port)>]) -> (Vec<ClassId>, usize) {
-    let mut distinct: Vec<usize> = darts.iter().map(Vec::len).collect();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let ranks = darts
-        .iter()
-        .map(|row| distinct.partition_point(|&d| d < row.len()))
-        .collect();
-    (ranks, distinct.len())
-}
-
-/// One depth extension with the engine's exact key: `(deg, [q_p * k + c_p])`
-/// compared degree-first then lexicographically, dense re-rank over the
-/// sorted distinct keys.
-fn extend(darts: &[Vec<(usize, Port)>], prev: &[ClassId], k_prev: usize) -> (Vec<ClassId>, usize) {
-    let n = darts.len();
-    let k = k_prev as u64;
-    let mut keyed: Vec<(usize, Vec<u64>, usize)> = darts
-        .iter()
-        .enumerate()
-        .map(|(c, row)| {
-            let words: Vec<u64> = row
-                .iter()
-                .map(|&(d, q)| q as u64 * k + prev[d] as u64)
-                .collect();
-            (row.len(), words, c)
-        })
-        .collect();
-    keyed.sort_unstable();
-    let mut ranks = vec![0; n];
-    let mut rank = 0usize;
-    for i in 0..n {
-        if i > 0 && (keyed[i].0, &keyed[i].1) != (keyed[i - 1].0, &keyed[i - 1].1) {
-            rank += 1;
-        }
-        ranks[keyed[i].2] = rank;
-    }
-    let classes = if n == 0 { 0 } else { rank + 1 };
-    (ranks, classes)
-}
-
-impl BaseAnalysis {
-    /// Refines the base dart rows until the
-    /// [`ViewClasses`](crate::ViewClasses) stopping rule fires *for the
-    /// lift*: stop at depth `d` when the class count reaches the lift's
-    /// node count `darts.len() * fold` (only possible with `fold == 1`), or
-    /// at `d + 1` when an extension stops growing the count.
-    pub fn compute(darts: &[Vec<(usize, Port)>], fold: usize) -> BaseAnalysis {
-        let virtual_n = darts.len() * fold;
-        let (r0, k0) = rank_by_degree(darts);
-        let mut a = BaseAnalysis {
-            rows: vec![r0],
-            counts: vec![k0],
-            stable_depth: 0,
-            fold,
-            fixed_at: None,
-        };
-        loop {
-            let d = a.rows.len() - 1;
-            if a.counts[d] == virtual_n {
-                a.stable_depth = d;
-                return a;
-            }
-            if a.extend_once(darts) {
-                a.stable_depth = d + 1;
-                return a;
-            }
-        }
-    }
-
-    /// Extends by one depth; returns whether the partition just stabilized.
-    /// Mirrors `ViewClasses::extend_one_depth` including the labeling
-    /// fixed-point detection.
-    fn extend_once(&mut self, darts: &[Vec<(usize, Port)>]) -> bool {
-        let d = self.rows.len() - 1;
-        let (row, k) = extend(darts, &self.rows[d], self.counts[d]);
-        let stable = k == self.counts[d];
-        if self.fixed_at.is_none() && row == self.rows[d] {
-            self.fixed_at = Some(d);
-        }
-        self.rows.push(row);
-        self.counts.push(k);
-        stable
-    }
-
-    /// Grows the table until it can answer depth `depth` (or a labeling
-    /// fixed point makes every deeper row known); the exact analogue of
-    /// `ViewClasses::ensure_depth`.
-    pub fn ensure_depth(&mut self, darts: &[Vec<(usize, Port)>], depth: usize) {
-        while self.max_depth() < depth && self.fixed_at.is_none() {
-            self.extend_once(darts);
-        }
-    }
-
-    /// Deepest stored row.
-    pub fn max_depth(&self) -> usize {
-        self.rows.len() - 1
-    }
-
-    /// The first depth at which the class count stopped growing.
-    pub fn stable_depth(&self) -> usize {
-        self.stable_depth
-    }
-
-    /// The fold of the covered lift.
-    pub fn fold(&self) -> usize {
-        self.fold
-    }
-
-    /// The stored depth serving depth `d` (the fixed-point row for deeper
-    /// queries).
-    ///
-    /// # Panics
-    /// Panics if `d` exceeds [`max_depth`](Self::max_depth) and no labeling
-    /// fixed point has been reached — call
-    /// [`ensure_depth`](Self::ensure_depth) first.
-    fn resolved_depth(&self, d: usize) -> usize {
-        if d <= self.max_depth() {
-            d
-        } else {
-            assert!(
-                self.fixed_at.is_some(),
-                "depth {d} exceeds max_depth {} without a fixed point; \
-                 call ensure_depth first",
-                self.max_depth()
-            );
-            self.max_depth()
-        }
-    }
-
-    /// The base class row at depth `d` (one rank per base node), with the
-    /// same deep-depth resolution as `ViewClasses::row_at`.
-    pub fn class_row(&self, d: usize) -> &[ClassId] {
-        &self.rows[self.resolved_depth(d)]
-    }
-
-    /// Number of distinct classes at depth `d` — of the base *and* of the
-    /// covered lift (the covering map never merges nor splits key values).
-    pub fn num_classes_at(&self, d: usize) -> usize {
-        self.counts[self.resolved_depth(d)]
-    }
-
-    /// Transfers the depth-`d` class row to the lift through the covering
-    /// map `colors` (lift node `v` belongs to base node `colors[v]`). The
-    /// result is bit-identical to the direct `ViewClasses` row of the lift
-    /// at every depth.
-    pub fn pullback_row(&self, d: usize, colors: &[usize]) -> Vec<ClassId> {
-        let row = self.class_row(d);
-        colors.iter().map(|&c| row[c]).collect()
-    }
-
-    /// The [`FeasibilityReport`] of the covered lift, bit-identical to
-    /// `election_index::analyze` on the materialized graph: distinct views,
-    /// stabilization depth, feasibility (`fold == 1` and discrete base) and
-    /// φ (the first all-distinct depth).
-    pub fn report(&self) -> FeasibilityReport {
-        let n = self.rows[0].len() * self.fold;
-        let max = self.max_depth();
-        let distinct = self.counts[max];
-        if distinct < n {
-            return FeasibilityReport {
-                feasible: false,
-                election_index: None,
-                distinct_views: distinct,
-                stable_depth: self.stable_depth,
-            };
-        }
-        let phi = (0..=max).find(|&d| self.counts[d] == n).unwrap_or(max);
-        FeasibilityReport {
-            feasible: true,
-            election_index: Some(phi),
-            distinct_views: distinct,
-            stable_depth: self.stable_depth,
-        }
-    }
-}
-
-/// The base-time analysis of a [`MinimumBase`]: refine the quotient dart
-/// rows at size `C = num_classes`, with results valid for the covered
-/// graph of size `n = C * fold`.
-pub fn analyze_base(base: &MinimumBase) -> BaseAnalysis {
-    BaseAnalysis::compute(base.dart_rows(), base.fold())
+/// The base-time analysis of a [`MinimumBase`]: the class table of the
+/// quotient dart rows at size `C = num_classes`, with its stable depth, both
+/// valid for the covered graph of size `n = C * fold`. Row `d` pulls back to
+/// the graph's depth-`d` row through [`MinimumBase::colors`]; extend it
+/// with `ViewClasses::ensure_depth(base.dart_rows(), ..)`.
+pub fn analyze_base(base: &MinimumBase) -> (ViewClasses, usize) {
+    ViewClasses::compute_until_stable_with(base.dart_rows(), base.fold(), &RefineOptions::default())
 }
 
 /// Analyzes the lift of a voltage graph **without materializing it**:
@@ -250,40 +57,56 @@ pub fn analyze_lift(vg: &VoltageGraph) -> Result<FeasibilityReport, QuotientErro
 /// Cost tracks the *base* size only — this is the `report bench-quotient`
 /// fast path that analyzes a million-node lift in base time.
 pub fn analyze_lift_unchecked(vg: &VoltageGraph) -> FeasibilityReport {
-    BaseAnalysis::compute(&base_dart_rows(vg), vg.fold).report()
+    let darts = base_dart_rows(vg);
+    let (table, stable) =
+        ViewClasses::compute_until_stable_with(&darts, vg.fold, &RefineOptions::default());
+    report_from_table(&table, stable)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classes::ViewClasses;
     use crate::election_index::analyze;
     use anet_graph::lift::{random_lift, VoltageEdge};
     use anet_graph::quotient::connected_cyclic_lift;
-    use anet_graph::{generators, Graph};
+    use anet_graph::{generators, ClassId, Graph};
 
     /// Covering map of a voltage lift: lift node `v` projects to `v / fold`.
     fn lift_colors(vg: &VoltageGraph) -> Vec<usize> {
         (0..vg.base_nodes * vg.fold).map(|v| v / vg.fold).collect()
     }
 
-    fn assert_base_matches_direct(g: &Graph, ba: &mut BaseAnalysis, colors: &[usize]) {
-        let direct = analyze(g);
-        assert_eq!(ba.report(), direct, "report transfer");
+    /// Pulls a base row back to the covered graph through `colors`.
+    fn pullback(row: &[ClassId], colors: &[usize]) -> Vec<ClassId> {
+        colors.iter().map(|&c| row[c]).collect()
+    }
+
+    fn assert_base_matches_direct(g: &Graph, base: &(ViewClasses, usize), colors: &[usize]) {
+        let (ba, base_stable) = base;
+        assert_eq!(
+            report_from_table(ba, *base_stable),
+            analyze(g),
+            "report transfer"
+        );
         let (table, stable) = ViewClasses::compute_until_stable(g);
-        assert_eq!(ba.stable_depth(), stable, "stable depth");
+        assert_eq!(*base_stable, stable, "stable depth");
+        assert_eq!(ba.max_depth(), table.max_depth(), "table depth");
         for d in 0..=table.max_depth() {
             assert_eq!(
-                ba.pullback_row(d, colors),
+                pullback(ba.row_at(d), colors),
                 table.row_at(d),
                 "pulled-back row at depth {d}"
             );
-            assert_eq!(ba.num_classes_at(d), table.num_classes(d), "count at {d}");
+            assert_eq!(ba.num_classes(d), table.num_classes(d), "count at {d}");
+            assert_eq!(ba.all_distinct_at(d), table.all_distinct_at(d), "at {d}");
         }
     }
 
     #[test]
     fn voltage_lift_analysis_matches_materialized_analysis() {
+        // The lollipop is feasible, so the bases of its covers have all
+        // their classes distinct: feasibility must compare the count with
+        // the covered rows × fold, not with the row length.
         for (i, small) in [
             generators::clique(4),
             generators::ring(6),
@@ -303,8 +126,12 @@ mod tests {
                     "base {i} fold {fold}"
                 );
                 assert_eq!(analyze_lift_unchecked(&vg), analyze(&g));
-                let mut ba = BaseAnalysis::compute(&base_dart_rows(&vg), fold);
-                assert_base_matches_direct(&g, &mut ba, &lift_colors(&vg));
+                let ba = ViewClasses::compute_until_stable_with(
+                    &base_dart_rows(&vg),
+                    fold,
+                    &RefineOptions::default(),
+                );
+                assert_base_matches_direct(&g, &ba, &lift_colors(&vg));
             }
         }
     }
@@ -318,8 +145,7 @@ mod tests {
             };
             let base = MinimumBase::of(&g).unwrap();
             base.certify(&g).unwrap();
-            let mut ba = analyze_base(&base);
-            assert_base_matches_direct(&g, &mut ba, base.colors());
+            assert_base_matches_direct(&g, &analyze_base(&base), base.colors());
         }
     }
 
@@ -334,8 +160,13 @@ mod tests {
         ] {
             let base = MinimumBase::of(&g).unwrap();
             base.certify(&g).unwrap();
-            let ba = analyze_base(&base);
-            assert_eq!(ba.report(), analyze(&g), "n = {}", g.num_nodes());
+            let (ba, stable) = analyze_base(&base);
+            assert_eq!(
+                report_from_table(&ba, stable),
+                analyze(&g),
+                "n = {}",
+                g.num_nodes()
+            );
         }
     }
 
@@ -343,13 +174,16 @@ mod tests {
     fn deep_rows_serve_from_the_fixed_point() {
         let g = generators::ring(9);
         let base = MinimumBase::of(&g).unwrap();
-        let mut ba = analyze_base(&base);
+        let (mut ba, _) = analyze_base(&base);
         let (mut table, _) = ViewClasses::compute_until_stable(&g);
-        let opts = crate::refine::RefineOptions::default();
+        let opts = RefineOptions::default();
         for depth in [3usize, 10, 1_000] {
-            ba.ensure_depth(base.dart_rows(), depth);
-            table.ensure_depth(&g, depth, &opts);
-            assert_eq!(ba.pullback_row(depth, base.colors()), table.row_at(depth));
+            ba.ensure_depth(base.dart_rows(), depth, &opts);
+            table.ensure_depth(g.adjacency(), depth, &opts);
+            assert_eq!(
+                pullback(ba.row_at(depth), base.colors()),
+                table.row_at(depth)
+            );
         }
     }
 

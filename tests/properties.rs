@@ -14,12 +14,11 @@ use anonymous_election::election::{
     MinTime, Remark,
 };
 use anonymous_election::graph::lift::{identity_voltage, VoltageGraph};
-use anonymous_election::graph::{algo, generators, lift, relabel};
+use anonymous_election::graph::{algo, generators, lift, relabel, RefineOptions};
 use anonymous_election::sim::com::exchange_views_tree;
 use anonymous_election::sim::{exchange_views, CrashEvent, CrashSemantics, FaultPlan};
 use anonymous_election::views::{
-    election_index, election_index_naive, AugmentedView, RefineOptions, ShardedViewArena,
-    ViewArena, ViewClasses,
+    election_index, election_index_naive, AugmentedView, ShardedViewArena, ViewArena, ViewClasses,
 };
 
 /// Strategy: a connected random graph described by (size, edge probability,
@@ -483,11 +482,12 @@ proptest! {
     #[test]
     fn canon_refinement_agrees_with_the_views_engine((n, p, seed) in graph_params()) {
         // The service cache key (canonical form) and the quotient engine
-        // both silently depend on canon.rs's hand-rolled colour refinement
-        // computing the same stable partition as the anet-views engine: the
-        // class count must equal the distinct-view count and the partitions
-        // must have identical blocks, on random graphs, renumbered twins,
-        // and voltage lifts alike.
+        // both read the canonical colours, which are the refinement
+        // engine's class row at the stable depth: the colours must equal
+        // the views table's row there exactly (same blocks and same
+        // canonical ranks), the class count must equal the distinct-view
+        // count, on random graphs, renumbered twins, and voltage lifts
+        // alike.
         let g = generators::random_connected(n, p, seed);
         let (twin, _) = relabel::random_node_permutation(&g, seed ^ 0xABCD);
         let mut graphs = vec![g.clone(), twin];
@@ -502,6 +502,8 @@ proptest! {
             let (table, stable) = ViewClasses::compute_until_stable(g);
             let row = table.row_at(stable);
             let colors = form.colors();
+            prop_assert_eq!(colors, row);
+            prop_assert_eq!(form.num_classes(), table.num_classes(stable));
             for u in g.nodes() {
                 for v in g.nodes() {
                     prop_assert_eq!(colors[u] == colors[v], row[u] == row[v]);
