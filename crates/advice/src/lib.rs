@@ -9,16 +9,18 @@
 //! unpack them:
 //!
 //! * [`BitString`] — an ordered sequence of bits with integer conversions
-//!   (`bin(x)` in the paper),
+//!   (`bin(x)` in the paper), packed 64 bits to a `u64` word,
 //! * [`codec`] — the doubling `Concat`/`Decode` code of Section 3: each
 //!   substring has its bits doubled and substrings are separated by `01`,
 //!   which makes the concatenation uniquely decodable at the cost of a
-//!   constant factor,
+//!   constant factor; both directions run a word at a time,
 //! * [`trie`] — the binary tries whose internal nodes carry discrimination
 //!   queries `(a, b)` and whose leaves correspond to nodes of the graph,
+//!   stored flat in preorder,
 //! * [`tree`] — rooted labeled trees with port numbers on both edge
-//!   endpoints (the BFS tree shipped as item `A2` of the advice), with a
-//!   uniquely decodable binary codec of length `O(n log n)` (Proposition 3.1).
+//!   endpoints (the BFS tree shipped as item `A2` of the advice), stored
+//!   flat in preorder with parent positions, with a uniquely decodable
+//!   binary codec of length `O(n log n)` (Proposition 3.1).
 //!
 //! The crate is deliberately independent of the graph and view crates: it
 //! manipulates plain bits, integers and trees, exactly like the oracle's
@@ -33,6 +35,6 @@ pub mod tree;
 pub mod trie;
 
 pub use bitstring::BitString;
-pub use codec::{concat, decode};
+pub use codec::{concat, decode, ConcatWriter};
 pub use tree::LabeledTree;
 pub use trie::{Query, Trie, TrieRef};

@@ -6,227 +6,237 @@
 //! endpoints of every tree edge. Nodes decode this tree, find themselves by
 //! label, and output the port sequence of the tree path to the root.
 //!
-//! The codec here is a preorder recursive encoding packed with the doubling
-//! [`crate::codec::concat`] code; for an `n`-node tree with labels in
-//! `O(n)` its length is `O(n log n)` bits (Proposition 3.1).
+//! ## Layout
+//!
+//! A [`LabeledTree`] is flat: one vector of nodes in preorder, children in
+//! port order at their parent, each node holding its label, the preorder
+//! position of its parent, the ports of the edge to it and its child count.
+//! The root is position 0 and every parent precedes its children, so the
+//! path to the root is a loop over parent positions, and building,
+//! encoding, decoding and drop are loops too — a tree as deep as its node
+//! count cannot overflow the stack.
+//!
+//! The codec packs the preorder with the doubling [`crate::codec`] code:
+//! the root contributes `[label, k]` and every other node `[p, q, label,
+//! k]`, where `p` and `q` are the ports at the parent and at the node and
+//! `k` is the child count. For an `n`-node tree with labels in `O(n)` its
+//! length is `O(n log n)` bits (Proposition 3.1).
 
 use crate::bitstring::BitString;
-use crate::codec::{concat, decode, DecodeError};
+use crate::codec::{decode_uints, ConcatWriter, DecodeError};
+
+/// One preorder entry of a flat tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Node {
+    label: u64,
+    /// Preorder position of the parent (0, unread, at the root).
+    parent: usize,
+    /// Port of the edge to the parent at the parent (0 at the root).
+    port_at_parent: u64,
+    /// Port of the edge to the parent at this node (0 at the root).
+    port_at_node: u64,
+    children: usize,
+}
 
 /// A rooted tree whose nodes carry integer labels and whose edges carry the
-/// port numbers of the underlying graph at both endpoints.
+/// port numbers of the underlying graph at both endpoints, stored flat in
+/// preorder (see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabeledTree {
-    /// Label of this node (in the election advice: the unique integer label
-    /// in `{1, ..., n}` computed by `RetrieveLabel`).
-    pub label: u64,
-    /// Children, each as `(port_at_this_node, port_at_child, subtree)`.
-    pub children: Vec<(u64, u64, LabeledTree)>,
+    /// Never empty: position 0 is the root.
+    nodes: Vec<Node>,
 }
 
 impl LabeledTree {
-    /// Creates a leaf with the given label.
-    pub fn leaf(label: u64) -> Self {
-        LabeledTree {
-            label,
-            children: Vec::new(),
+    /// Builds the tree on nodes `0..labels.len()` rooted at `root`, where
+    /// `parents[v] = (u, p, q)` says that `v`'s parent is `u`, through port
+    /// `p` at `u` and port `q` at `v` (the root's entry is ignored). Node
+    /// `v` carries `labels[v]`, and children are ordered by their port at
+    /// the parent.
+    ///
+    /// Returns `None` unless the entries form one tree spanning every node.
+    pub fn from_parents(
+        root: usize,
+        labels: &[u64],
+        parents: &[(usize, u64, u64)],
+    ) -> Option<Self> {
+        let n = labels.len();
+        if parents.len() != n || root >= n {
+            return None;
         }
+        // The children of every node, counting-sorted by parent.
+        let mut start = vec![0usize; n + 1];
+        for (v, &(u, _, _)) in parents.iter().enumerate() {
+            if v != root {
+                *start.get_mut(u + 1)? += 1;
+            }
+        }
+        for u in 0..n {
+            start[u + 1] += start[u];
+        }
+        let mut next = start.clone();
+        let mut kids = vec![0usize; n - 1];
+        for (v, &(u, _, _)) in parents.iter().enumerate() {
+            if v != root {
+                *kids.get_mut(next[u])? = v;
+                next[u] += 1;
+            }
+        }
+        for u in 0..n {
+            kids[start[u]..start[u + 1]].sort_unstable_by_key(|&c| (parents[c].1, c));
+        }
+        let mut nodes = Vec::with_capacity(n);
+        let mut pending = vec![(root, 0usize)];
+        while let Some((v, parent)) = pending.pop() {
+            let (_, p, q) = if v == root { (0, 0, 0) } else { parents[v] };
+            let children = &kids[start[v]..start[v + 1]];
+            pending.extend(children.iter().rev().map(|&c| (c, nodes.len())));
+            nodes.push(Node {
+                label: labels[v],
+                parent,
+                port_at_parent: p,
+                port_at_node: q,
+                children: children.len(),
+            });
+        }
+        (nodes.len() == n).then_some(LabeledTree { nodes })
     }
 
     /// Number of nodes in the tree.
     pub fn size(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(|(_, _, c)| c.size())
-            .sum::<usize>()
+        self.nodes.len()
     }
 
     /// Depth of the tree (a single node has depth 0).
     pub fn depth(&self) -> usize {
-        self.children
-            .iter()
-            .map(|(_, _, c)| 1 + c.depth())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// All labels in the tree, in preorder.
-    pub fn labels(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.size());
-        self.collect_labels(&mut out);
-        out
-    }
-
-    fn collect_labels(&self, out: &mut Vec<u64>) {
-        out.push(self.label);
-        for (_, _, c) in &self.children {
-            c.collect_labels(out);
+        let mut depth = vec![0usize; self.nodes.len()];
+        for (i, node) in self.nodes.iter().enumerate().skip(1) {
+            depth[i] = depth[node.parent] + 1;
         }
+        depth.into_iter().max().unwrap_or(0)
     }
 
-    /// Finds the path from the node labeled `label` up to the root, as the
-    /// flat port sequence `(p1, q1, ..., pk, qk)` (outgoing port first, then
-    /// the port at the next node), or `None` if the label is absent.
+    /// All labels in the tree, in preorder (position `i` is the `i`-th
+    /// label; the root's comes first).
+    pub fn labels(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.nodes.iter().map(|node| node.label)
+    }
+
+    /// The hops of the path from the node at preorder position `pos` up to
+    /// the root, each as `(port at the lower node, port at its parent)`;
+    /// `None` if there is no such position. `O(1)` per hop.
+    pub fn hops_from(&self, pos: usize) -> Option<impl Iterator<Item = (u64, u64)> + '_> {
+        self.nodes.get(pos)?;
+        let mut pos = pos;
+        Some(std::iter::from_fn(move || {
+            let node = self.nodes.get(pos).filter(|_| pos != 0)?;
+            pos = node.parent;
+            Some((node.port_at_node, node.port_at_parent))
+        }))
+    }
+
+    /// Finds the path from the node labeled `label` (the first in preorder)
+    /// up to the root, as the flat port sequence `(p1, q1, ..., pk, qk)`
+    /// (outgoing port first, then the port at the next node), or `None` if
+    /// the label is absent. An `O(n)` search; a caller looking up many
+    /// labels indexes [`labels`](Self::labels) once and walks
+    /// [`hops_from`](Self::hops_from).
     ///
     /// This is exactly what Algorithm `Elect` outputs: the port numbers of
     /// the unique simple tree path from the node to the root.
     pub fn path_to_root(&self, label: u64) -> Option<Vec<u64>> {
-        if self.label == label {
-            return Some(Vec::new());
-        }
-        for (port_here, port_child, child) in &self.children {
-            if let Some(mut path) = child.path_to_root(label) {
-                // The child's path goes from the target up to `child`; append
-                // the hop from `child` to this node.
-                path.push(*port_child);
-                path.push(*port_here);
-                return Some(path);
-            }
-        }
-        None
-    }
-
-    /// The parent relation of the tree, indexed by label: maps the label of
-    /// every non-root node to `(parent_label, port_at_node, port_at_parent)`.
-    ///
-    /// Built in one `O(n)` traversal, this turns [`path_to_root`] — an
-    /// `O(n)` tree search per query — into an `O(path length)` walk per
-    /// node, which is what lets a 10k-node election assemble all of its
-    /// outputs in `O(Σ path lengths)` total:
-    ///
-    /// ```
-    /// use anet_advice::LabeledTree;
-    ///
-    /// let tree = LabeledTree {
-    ///     label: 1,
-    ///     children: vec![(0, 1, LabeledTree::leaf(2))],
-    /// };
-    /// let parents = tree.parent_map();
-    /// assert_eq!(parents.get(&2), Some(&(1, 1, 0)));
-    /// // Walking the map reproduces path_to_root exactly.
-    /// assert_eq!(tree.path_to_root(2), Some(vec![1, 0]));
-    /// ```
-    ///
-    /// [`path_to_root`]: LabeledTree::path_to_root
-    pub fn parent_map(&self) -> std::collections::HashMap<u64, (u64, u64, u64)> {
-        let mut map = std::collections::HashMap::new();
-        let mut stack = vec![self];
-        while let Some(node) = stack.pop() {
-            for (port_here, port_child, child) in &node.children {
-                map.insert(child.label, (node.label, *port_child, *port_here));
-                stack.push(child);
-            }
-        }
-        map
-    }
-
-    /// Walks a parent relation produced by [`parent_map`] from the node
-    /// labeled `label` up to the root: the `O(path length)` equivalent of
-    /// [`path_to_root`], with identical output. Returns `None` if the label
-    /// is absent or the relation is malformed (a cycle, or a chain that
-    /// never reaches the root).
-    ///
-    /// [`parent_map`]: LabeledTree::parent_map
-    /// [`path_to_root`]: LabeledTree::path_to_root
-    pub fn path_to_root_via(
-        &self,
-        parents: &std::collections::HashMap<u64, (u64, u64, u64)>,
-        label: u64,
-    ) -> Option<Vec<u64>> {
-        let mut flat = Vec::new();
-        let mut cur = label;
-        let mut hops = 0usize;
-        while cur != self.label {
-            let &(parent, port_child, port_parent) = parents.get(&cur)?;
-            flat.push(port_child);
-            flat.push(port_parent);
-            cur = parent;
-            hops += 1;
-            if hops > parents.len() {
-                return None;
-            }
-        }
-        Some(flat)
+        let pos = self.labels().position(|l| l == label)?;
+        Some(self.hops_from(pos)?.flat_map(|(p, q)| [p, q]).collect())
     }
 
     /// Encodes the tree as a uniquely decodable bit string of length
     /// `O(n log n)` for labels in `O(n)`.
     pub fn encode(&self) -> BitString {
-        let mut parts = Vec::new();
-        self.encode_into(&mut parts);
-        concat(&parts)
-    }
-
-    fn encode_into(&self, parts: &mut Vec<BitString>) {
-        parts.push(BitString::from_uint(self.label));
-        parts.push(BitString::from_uint(self.children.len() as u64));
-        for (p, q, child) in &self.children {
-            parts.push(BitString::from_uint(*p));
-            parts.push(BitString::from_uint(*q));
-            child.encode_into(parts);
+        let mut w = ConcatWriter::new();
+        for (i, node) in self.nodes.iter().enumerate() {
+            if i > 0 {
+                w.uint(node.port_at_parent);
+                w.uint(node.port_at_node);
+            }
+            w.uint(node.label);
+            w.uint(node.children as u64);
         }
+        w.finish()
     }
 
     /// Decodes a tree produced by [`encode`](LabeledTree::encode).
+    ///
+    /// A child count is never trusted further than the input: every child
+    /// takes four more integers, so a count above a quarter of the integers
+    /// left is refused as [`DecodeError::Truncated`], like a preorder that
+    /// ends early or runs on after the tree is complete.
     pub fn decode_bits(encoded: &BitString) -> Result<LabeledTree, DecodeError> {
-        let parts = decode(encoded)?;
-        let mut pos = 0usize;
-        let tree = Self::decode_parts(&parts, &mut pos)?;
-        if pos != parts.len() {
+        let ints = decode_uints(encoded)?;
+        let mut rest = ints.iter().copied();
+        let mut nodes = Vec::new();
+        // (position, children still to read) of every open node.
+        let mut open: Vec<(usize, usize)> = Vec::new();
+        loop {
+            let (parent, p, q) = match open.last_mut() {
+                None if nodes.is_empty() => (0, 0, 0),
+                None => break,
+                Some((_, 0)) => {
+                    open.pop();
+                    continue;
+                }
+                Some((pos, left)) => {
+                    *left -= 1;
+                    let pos = *pos;
+                    (pos, take_int(&mut rest)?, take_int(&mut rest)?)
+                }
+            };
+            let label = take_int(&mut rest)?;
+            let children = usize::try_from(take_int(&mut rest)?)
+                .ok()
+                .filter(|&k| k <= rest.len() / 4)
+                .ok_or(DecodeError::Truncated)?;
+            open.push((nodes.len(), children));
+            nodes.push(Node {
+                label,
+                parent,
+                port_at_parent: p,
+                port_at_node: q,
+                children,
+            });
+        }
+        if rest.len() != 0 {
             return Err(DecodeError::Truncated);
         }
-        Ok(tree)
+        Ok(LabeledTree { nodes })
     }
+}
 
-    fn decode_parts(parts: &[BitString], pos: &mut usize) -> Result<LabeledTree, DecodeError> {
-        let label = parts
-            .get(*pos)
-            .and_then(BitString::to_uint)
-            .ok_or(DecodeError::Truncated)?;
-        let num_children = parts
-            .get(*pos + 1)
-            .and_then(BitString::to_uint)
-            .ok_or(DecodeError::Truncated)? as usize;
-        *pos += 2;
-        let mut children = Vec::with_capacity(num_children);
-        for _ in 0..num_children {
-            let p = parts
-                .get(*pos)
-                .and_then(BitString::to_uint)
-                .ok_or(DecodeError::Truncated)?;
-            let q = parts
-                .get(*pos + 1)
-                .and_then(BitString::to_uint)
-                .ok_or(DecodeError::Truncated)?;
-            *pos += 2;
-            let child = Self::decode_parts(parts, pos)?;
-            children.push((p, q, child));
-        }
-        Ok(LabeledTree { label, children })
-    }
+/// The next integer of a preorder, or [`DecodeError::Truncated`].
+fn take_int(ints: &mut impl Iterator<Item = u64>) -> Result<u64, DecodeError> {
+    ints.next().ok_or(DecodeError::Truncated)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::concat_uints;
 
     fn sample_tree() -> LabeledTree {
-        // Root labeled 1 with two children (labels 2, 3); 3 has a child 4.
-        LabeledTree {
-            label: 1,
-            children: vec![
-                (0, 1, LabeledTree::leaf(2)),
-                (
-                    1,
-                    0,
-                    LabeledTree {
-                        label: 3,
-                        children: vec![(2, 0, LabeledTree::leaf(4))],
-                    },
-                ),
-            ],
-        }
+        // Root 0 labeled 1 with two children (labels 2, 3) on ports 0 and
+        // 1; the node labeled 3 has a child labeled 4 on its port 2.
+        LabeledTree::from_parents(
+            0,
+            &[1, 2, 3, 4],
+            &[(0, 0, 0), (0, 0, 1), (0, 1, 0), (2, 2, 0)],
+        )
+        .unwrap()
+    }
+
+    /// A path-shaped tree with labels `1..=n` from the root down.
+    fn path_tree(n: usize) -> LabeledTree {
+        let labels: Vec<u64> = (1..=n as u64).collect();
+        let parents: Vec<(usize, u64, u64)> = (0..n).map(|v| (v.saturating_sub(1), 0, 1)).collect();
+        LabeledTree::from_parents(0, &labels, &parents).unwrap()
     }
 
     #[test]
@@ -234,56 +244,89 @@ mod tests {
         let t = sample_tree();
         assert_eq!(t.size(), 4);
         assert_eq!(t.depth(), 2);
-        assert_eq!(t.labels(), vec![1, 2, 3, 4]);
-        assert_eq!(LabeledTree::leaf(9).depth(), 0);
+        assert_eq!(t.labels().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
+        let leaf = LabeledTree::from_parents(0, &[9], &[(0, 0, 0)]).unwrap();
+        assert_eq!(leaf.depth(), 0);
     }
 
     #[test]
     fn path_to_root_produces_port_pairs_bottom_up() {
         let t = sample_tree();
-        // Node 4: hop to 3 uses (0 at 4 side? ...) the stored pair is
-        // (port_at_parent=2, port_at_child=0); going up we output the child's
-        // port first.
+        // Going up, each hop outputs the port at the lower node first, then
+        // the port at its parent.
         assert_eq!(t.path_to_root(4), Some(vec![0, 2, 0, 1]));
         assert_eq!(t.path_to_root(2), Some(vec![1, 0]));
         assert_eq!(t.path_to_root(1), Some(vec![]));
         assert_eq!(t.path_to_root(7), None);
+        assert_eq!(
+            t.hops_from(3).unwrap().collect::<Vec<_>>(),
+            [(0, 2), (0, 1)]
+        );
+        assert!(t.hops_from(4).is_none());
     }
 
     #[test]
-    fn parent_map_walk_reproduces_path_to_root() {
-        let t = sample_tree();
-        let parents = t.parent_map();
-        assert_eq!(parents.len(), t.size() - 1);
-        for label in t.labels() {
-            assert_eq!(
-                t.path_to_root_via(&parents, label),
-                t.path_to_root(label),
-                "label {label}"
-            );
+    fn hops_walk_reproduces_path_to_root() {
+        // The walk a node makes from its own preorder position is the
+        // oracle's search for its label, hop for hop.
+        for t in [sample_tree(), path_tree(7)] {
+            for (pos, label) in t.labels().enumerate() {
+                let walked: Vec<u64> = t
+                    .hops_from(pos)
+                    .unwrap()
+                    .flat_map(|(p, q)| [p, q])
+                    .collect();
+                assert_eq!(Some(walked), t.path_to_root(label), "label {label}");
+            }
         }
-        assert!(!parents.contains_key(&t.label));
-        // Absent labels and cyclic relations are rejected, not looped on.
-        assert_eq!(t.path_to_root_via(&parents, 99), None);
-        let mut cyclic = std::collections::HashMap::new();
-        cyclic.insert(7u64, (8u64, 0u64, 0u64));
-        cyclic.insert(8u64, (7u64, 0u64, 0u64));
-        assert_eq!(t.path_to_root_via(&cyclic, 7), None);
+    }
+
+    #[test]
+    fn children_follow_port_order_whatever_the_node_order() {
+        // The same tree with its nodes numbered differently.
+        let t = LabeledTree::from_parents(
+            3,
+            &[4, 3, 2, 1],
+            &[(1, 2, 0), (3, 1, 0), (3, 0, 1), (0, 0, 0)],
+        )
+        .unwrap();
+        assert_eq!(t, sample_tree());
+    }
+
+    #[test]
+    fn from_parents_refuses_what_is_not_one_spanning_tree() {
+        // A cycle away from the root, a parent out of range, a root out of
+        // range and mismatched lengths.
+        let cyclic = [(0, 0, 0), (2, 0, 0), (1, 1, 1)];
+        assert_eq!(LabeledTree::from_parents(0, &[1, 2, 3], &cyclic), None);
+        assert_eq!(
+            LabeledTree::from_parents(0, &[1, 2], &[(0, 0, 0), (5, 0, 0)]),
+            None
+        );
+        assert_eq!(
+            LabeledTree::from_parents(2, &[1, 2], &[(0, 0, 0), (0, 0, 0)]),
+            None
+        );
+        assert_eq!(LabeledTree::from_parents(0, &[1, 2], &[(0, 0, 0)]), None);
     }
 
     #[test]
     fn encode_decode_roundtrip() {
         let t = sample_tree();
         let enc = t.encode();
+        // Root [label, k], then [p, q, label, k] per node in preorder.
+        assert_eq!(
+            enc,
+            concat_uints(&[1, 2, 0, 1, 2, 0, 1, 0, 3, 1, 2, 0, 4, 0])
+        );
         assert_eq!(LabeledTree::decode_bits(&enc).unwrap(), t);
     }
 
     #[test]
     fn encode_decode_wide_tree() {
-        let children = (0..50u64)
-            .map(|i| (i, 0, LabeledTree::leaf(i + 2)))
-            .collect();
-        let t = LabeledTree { label: 1, children };
+        let labels: Vec<u64> = (1..=51).collect();
+        let parents: Vec<(usize, u64, u64)> = (0..51).map(|v| (0, v as u64, 0)).collect();
+        let t = LabeledTree::from_parents(0, &labels, &parents).unwrap();
         let enc = t.encode();
         assert_eq!(LabeledTree::decode_bits(&enc).unwrap(), t);
         // 51 nodes, labels < 64: comfortably O(n log n).
@@ -294,25 +337,57 @@ mod tests {
     fn decode_rejects_truncated_input() {
         let t = sample_tree();
         let enc = t.encode();
-        let truncated: BitString = enc.bits()[..enc.len() - 8].iter().copied().collect();
+        let truncated: BitString = enc.iter().take(enc.len() - 8).collect();
         assert!(LabeledTree::decode_bits(&truncated).is_err());
+        assert!(LabeledTree::decode_bits(&BitString::new()).is_err());
+        // A complete tree followed by more integers.
+        assert_eq!(
+            LabeledTree::decode_bits(&concat_uints(&[1, 0, 7])),
+            Err(DecodeError::Truncated)
+        );
+    }
+
+    #[test]
+    fn forged_child_counts_are_refused_without_allocating() {
+        for k in [1 << 40, u64::MAX, 1] {
+            assert_eq!(
+                LabeledTree::decode_bits(&concat_uints(&[1, k])),
+                Err(DecodeError::Truncated),
+                "count {k}"
+            );
+        }
+        // Exactly as many integers as the count promises is fine.
+        let one_child = concat_uints(&[1, 1, 0, 0, 2, 0]);
+        assert_eq!(LabeledTree::decode_bits(&one_child).unwrap().size(), 2);
     }
 
     #[test]
     fn length_scales_n_log_n() {
         // Empirical Proposition 3.1: a path-shaped tree with n nodes and
         // labels 1..=n encodes into O(n log n) bits.
-        for n in [10u64, 100, 500] {
-            let mut t = LabeledTree::leaf(n);
-            for label in (1..n).rev() {
-                t = LabeledTree {
-                    label,
-                    children: vec![(0, 1, t)],
-                };
-            }
-            let bits = t.encode().len() as f64;
-            let bound = 12.0 * (n as f64) * ((n as f64).log2() + 1.0);
+        for n in [10usize, 100, 500] {
+            let bits = path_tree(n).encode().len() as f64;
+            let n = n as f64;
+            let bound = 12.0 * n * (n.log2() + 1.0);
             assert!(bits < bound, "n = {n}: {bits} >= {bound}");
         }
+    }
+
+    #[test]
+    fn deep_path_tree_is_stack_safe() {
+        // Building, encoding, decoding, the walk from the deepest node and
+        // the drop all run on the default test-thread stack.
+        let n = 100_000;
+        let t = path_tree(n);
+        assert_eq!(t.depth(), n - 1);
+        let enc = t.encode();
+        let back = LabeledTree::decode_bits(&enc).unwrap();
+        assert_eq!(back.encode(), enc);
+        assert_eq!(back, t);
+        let path = back.path_to_root(n as u64).unwrap();
+        assert_eq!(path.len(), 2 * (n - 1));
+        assert!(path.chunks(2).all(|hop| hop == [1, 0]));
+        drop(back);
+        drop(t);
     }
 }

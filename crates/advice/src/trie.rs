@@ -23,7 +23,7 @@
 //! [`height`]: Trie::height
 
 use crate::bitstring::BitString;
-use crate::codec::{concat_uints, decode_uints, DecodeError};
+use crate::codec::{decode_uints, ConcatWriter, DecodeError};
 
 /// A query at an internal trie node, encoded as the pair of integers the
 /// paper uses (e.g. `(0, t)` = "is the binary representation shorter than
@@ -209,15 +209,17 @@ impl Trie {
     /// `O(n)` nodes whose query integers are `O(n log n)`, the length is
     /// `O(n log n)` bits (Proposition 3.2).
     pub fn encode(&self) -> BitString {
-        let mut ints = Vec::with_capacity(2 * self.nodes.len());
+        let mut w = ConcatWriter::new();
         for node in &self.nodes {
             if node.leaves == 1 {
-                ints.push(0);
+                w.uint(0);
             } else {
-                ints.extend([1, node.query.0, node.query.1]);
+                w.uint(1);
+                w.uint(node.query.0);
+                w.uint(node.query.1);
             }
         }
-        concat_uints(&ints)
+        w.finish()
     }
 
     /// Decodes a trie produced by [`encode`](Trie::encode). A preorder
@@ -277,6 +279,7 @@ fn fill_leaf_counts(nodes: &mut [Node]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::concat_uints;
 
     fn sample_trie() -> Trie {
         Trie::internal(

@@ -20,14 +20,11 @@ fn bench_concat_decode(c: &mut Criterion) {
 
 fn bench_tree_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("labeled_tree_codec");
-    for n in [64u64, 512, 2048] {
-        let mut tree = LabeledTree::leaf(n);
-        for label in (1..n).rev() {
-            tree = LabeledTree {
-                label,
-                children: vec![(0, 1, tree)],
-            };
-        }
+    for n in [64usize, 512, 2048] {
+        // A path: node v hangs below v - 1, labels 1..=n from the root.
+        let labels: Vec<u64> = (1..=n as u64).collect();
+        let parents: Vec<(usize, u64, u64)> = (0..n).map(|v| (v.saturating_sub(1), 0, 1)).collect();
+        let tree = LabeledTree::from_parents(0, &labels, &parents).expect("a path is a tree");
         group.bench_with_input(BenchmarkId::from_parameter(n), &tree, |b, t| {
             b.iter(|| LabeledTree::decode_bits(&t.encode()).unwrap().size())
         });

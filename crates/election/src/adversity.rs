@@ -29,14 +29,13 @@
 //! outcome-identical, degraded-but-correct, or correctly-refused on this
 //! basis.
 
-use std::sync::Arc;
-
 use anet_graph::{NodeId, PortPath};
-use anet_sim::{AdvRunner, ComNode, FaultPlan, ReliableLink, Restartable, RunStats};
-use anet_views::ViewId;
-use parking_lot::Mutex;
+use anet_sim::{AdvRunner, FaultPlan, ReliableLink, Restartable, RunStats};
 
-use crate::elect::{collect_deposits, decode_advice_for, first_unhalted, outputs_from_view_ids};
+use crate::elect::{
+    collect_deposits, com_node, decode_advice_for, first_unhalted, new_deposits,
+    outputs_from_levels,
+};
 use crate::error::ElectionError;
 use crate::instance::Instance;
 use crate::verify::verify_election;
@@ -93,7 +92,7 @@ impl Instance {
         let n = g.num_nodes();
         let diameter = self.diameter();
         let arena = self.arena();
-        let acquired: Arc<Mutex<Vec<Option<ViewId>>>> = Arc::new(Mutex::new(vec![None; n]));
+        let deposits = new_deposits(n, phi);
 
         // Wrapper budgets, derived from the graph: the stall threshold must
         // exceed the diameter (a travelling reset wave is not a wedge) and
@@ -112,13 +111,7 @@ impl Instance {
         let link_linger = 2 * window + 2;
         let max_rounds = 64 + 8 * (phi + diameter + stall + restart_linger + window);
 
-        let mk_com = |slot: usize| {
-            let acquired = Arc::clone(&acquired);
-            ComNode::new(Arc::clone(&arena), phi, move |_arena, view| {
-                acquired.lock()[slot] = Some(view);
-                PortPath::empty()
-            })
-        };
+        let mk_com = |slot: usize| com_node(&arena, phi, &deposits, slot);
         let runner = AdvRunner::with_threads(g, max_rounds, threads);
         let outcome = match model {
             ExecutionModel::Raw => runner.run(plan, |slot, _deg| mk_com(slot)),
@@ -133,8 +126,8 @@ impl Instance {
             .election_time()
             .ok_or_else(|| first_unhalted(&outcome.outputs))?;
 
-        let ids = collect_deposits(&acquired.lock())?;
-        let outputs = outputs_from_view_ids(&decoded, &arena, &ids)?;
+        let levels = collect_deposits(&deposits.lock())?;
+        let outputs = outputs_from_levels(&decoded, &arena, &levels)?;
         let leader = verify_election(g, &outputs)?;
         Ok(AdversityOutcome {
             leader,

@@ -288,32 +288,19 @@ pub fn decode_advice(bits: &BitString) -> Result<DecodedAdvice, ElectionError> {
 /// port numbers at both endpoints.
 fn build_labeled_bfs_tree(g: &Graph, root: NodeId, labels: &[u64]) -> LabeledTree {
     let parent = algo::canonical_bfs_parents(g, root);
-    // children[u] = list of (port_at_u, port_at_child, child).
-    let mut children: Vec<Vec<(u64, u64, NodeId)>> = vec![Vec::new(); g.num_nodes()];
-    for v in g.nodes() {
-        if v == root {
-            continue;
-        }
-        let u = parent[v];
-        let pu = g.port_to(u, v).expect("parent adjacency") as u64;
-        let pv = g.port_to(v, u).expect("child adjacency") as u64;
-        children[u].push((pu, pv, v));
-    }
-    // Deterministic child order: by port at the parent.
-    for c in &mut children {
-        c.sort_unstable();
-    }
-    build_subtree(root, &children, labels)
-}
-
-fn build_subtree(u: NodeId, children: &[Vec<(u64, u64, NodeId)>], labels: &[u64]) -> LabeledTree {
-    LabeledTree {
-        label: labels[u],
-        children: children[u]
-            .iter()
-            .map(|&(pu, pv, v)| (pu, pv, build_subtree(v, children, labels)))
-            .collect(),
-    }
+    // Every node's (parent, port at the parent, port at the node); the
+    // root's entry is not read.
+    let parents: Vec<(NodeId, u64, u64)> = g
+        .nodes()
+        .map(|v| {
+            let u = parent[v];
+            g.ports(v)
+                .find(|&(_, w, _)| w == u)
+                .map_or((u, 0, 0), |(pv, _, pu)| (u, pu as u64, pv as u64))
+        })
+        .collect();
+    LabeledTree::from_parents(root, labels, &parents)
+        .expect("canonical BFS parents form a spanning tree")
 }
 
 /// Deduplicates and canonically sorts a collection of views.
@@ -423,11 +410,11 @@ mod tests {
     fn bfs_tree_covers_all_labels_and_has_root_label_one() {
         for g in feasible_samples() {
             let advice = compute_advice(&g).unwrap();
-            let mut tree_labels = advice.tree.labels();
+            let mut tree_labels: Vec<u64> = advice.tree.labels().collect();
             tree_labels.sort_unstable();
             let expected: Vec<u64> = (1..=g.num_nodes() as u64).collect();
             assert_eq!(tree_labels, expected);
-            assert_eq!(advice.tree.label, 1);
+            assert_eq!(advice.tree.labels().next(), Some(1));
             assert_eq!(advice.labels[advice.root], 1);
         }
     }

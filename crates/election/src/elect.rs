@@ -19,21 +19,24 @@
 //! The simulation exchanges hash-consed [`ViewId`]s against a shared,
 //! mutex-striped [`ShardedViewArena`] (see [`anet_sim::com`]), so a round
 //! moves `O(m)` words
-//! instead of `O(m · Δ^round)` tree nodes. Three further purely-local
-//! computations are hoisted out of the per-node closures and shared —
-//! none of them changes any node's output, because all three are
-//! deterministic functions of the common advice:
+//! instead of `O(m · Δ^round)` tree nodes. The purely local rest of the
+//! algorithm is shared across nodes — none of it changes any node's
+//! output, because all of it is a deterministic function of the common
+//! advice and the node's own views:
 //!
-//! * the advice string is decoded once instead of once per node,
-//! * `RetrieveLabel` is memoized per distinct view across nodes
-//!   ([`LabelMemo`]), and
-//! * the BFS tree's parent relation is indexed once
-//!   ([`anet_advice::LabeledTree::parent_map`]) so each node's output path
-//!   costs its own length instead of an `O(n)` tree search.
+//! * the advice string is decoded once instead of once per node, a word
+//!   at a time ([`anet_advice::codec`]);
+//! * every node hands over its whole chain `B^0(u) … B^φ(u)`, and
+//!   `RetrieveLabel` runs a depth at a time over all chains, each distinct
+//!   view labelled once ([`retrieve_labels`]);
+//! * the BFS tree is flat with parent positions
+//!   ([`anet_advice::LabeledTree`]), and its labels are indexed once, so
+//!   each node's output path costs its own length instead of an `O(n)`
+//!   tree search.
 //!
-//! Together these make [`elect_all`] complete on the full `large_graphs()`
-//! sweep (n up to 10k) in milliseconds-to-seconds; the `bench-elect` sweep
-//! of `anet-bench` records the per-phase timings.
+//! No step recurses on `φ` or on the tree depth, so a deep instance runs
+//! on a small stack. The `bench-elect` sweep of `anet-bench` records the
+//! per-phase timings.
 
 use std::sync::Arc;
 
@@ -46,7 +49,7 @@ use parking_lot::Mutex;
 use crate::advice_build::{decode_advice, Advice, DecodedAdvice};
 use crate::error::ElectionError;
 use crate::instance::Instance;
-use crate::labels::{retrieve_label, retrieve_label_arena, LabelMemo};
+use crate::labels::{retrieve_label, retrieve_labels};
 use crate::verify::verify_election;
 
 /// The result of a complete minimum-time election run.
@@ -173,24 +176,18 @@ pub fn simulate_election_in(
     let decoded = decode_advice_for(g, advice_bits)?;
     let phi = decoded.phi;
 
-    // Phase 1: the COM exchange, depositing each node's B^φ id.
-    let acquired: Arc<Mutex<Vec<Option<ViewId>>>> = Arc::new(Mutex::new(vec![None; g.num_nodes()]));
+    // Phase 1: the COM exchange, depositing each node's chain B^0 … B^φ.
+    let deposits = new_deposits(g.num_nodes(), phi);
     let runner = SyncRunner::new(g, phi + 1);
-    let outcome = runner.run_indexed(|slot, _degree| {
-        let acquired = Arc::clone(&acquired);
-        ComNode::new(Arc::clone(arena), phi, move |_arena, view| {
-            acquired.lock()[slot] = Some(view);
-            PortPath::empty()
-        })
-    })?;
+    let outcome = runner.run_indexed(|slot, _degree| com_node(arena, phi, &deposits, slot))?;
     let time = outcome
         .election_time()
         .ok_or_else(|| first_unhalted(&outcome.outputs))?;
 
     // Phase 2: the purely local output computation (shared across nodes;
     // see the module docs for why this does not change any node's output).
-    let ids = collect_deposits(&acquired.lock())?;
-    let outputs = outputs_from_view_ids(&decoded, arena, &ids)?;
+    let levels = collect_deposits(&deposits.lock())?;
+    let outputs = outputs_from_levels(&decoded, arena, &levels)?;
     Ok(Simulation {
         outputs,
         time,
@@ -219,51 +216,84 @@ pub(crate) fn decode_advice_for(
     Ok(decoded)
 }
 
-/// Collects the per-node view ids a `COM` run deposited, erroring on any
-/// node that halted without depositing (impossible through [`ComNode`]'s
-/// callback, but the error path keeps the pipeline panic-free).
-pub(crate) fn collect_deposits(deposited: &[Option<ViewId>]) -> Result<Vec<ViewId>, ElectionError> {
+/// The view chains a `COM` run deposits: `[d][v]` holds `B^d(v)` once node
+/// `v` has finished.
+pub(crate) type Deposits = Arc<Mutex<Vec<Vec<Option<ViewId>>>>>;
+
+/// Empty deposits for `n` nodes running `φ` rounds.
+pub(crate) fn new_deposits(n: usize, phi: usize) -> Deposits {
+    Arc::new(Mutex::new(vec![vec![None; n]; phi + 1]))
+}
+
+/// The `COM` node of simulator slot `slot`: `φ` rounds over the shared
+/// arena, then its chain `B^0 … B^φ` goes into `deposits`.
+pub(crate) fn com_node(
+    arena: &SharedViewArena,
+    phi: usize,
+    deposits: &Deposits,
+    slot: usize,
+) -> ComNode<impl FnMut(&ShardedViewArena, &[ViewId]) -> PortPath> {
+    let deposits = Arc::clone(deposits);
+    ComNode::new(Arc::clone(arena), phi, move |_arena, chain| {
+        for (level, &id) in deposits.lock().iter_mut().zip(chain) {
+            level[slot] = Some(id);
+        }
+        PortPath::empty()
+    })
+}
+
+/// Collects the per-node view chains a `COM` run deposited, as
+/// `levels[d][v] = B^d(v)`, erroring on the first node that halted without
+/// depositing (impossible through [`ComNode`]'s callback, but the error
+/// path keeps the pipeline panic-free).
+pub(crate) fn collect_deposits(
+    deposited: &[Vec<Option<ViewId>>],
+) -> Result<Vec<Vec<ViewId>>, ElectionError> {
     deposited
         .iter()
-        .enumerate()
-        .map(|(node, v)| v.ok_or(ElectionError::NodeDidNotHalt { node }))
+        .map(|level| {
+            level
+                .iter()
+                .enumerate()
+                .map(|(node, v)| v.ok_or(ElectionError::NodeDidNotHalt { node }))
+                .collect()
+        })
         .collect()
 }
 
 /// The purely local tail of Algorithm `Elect`, shared across nodes: label
-/// every acquired `B^φ(u)` and emit its tree path to the leader. Used by
-/// both the clean pipeline and the adversarial one
-/// ([`crate::adversity`]) — the acquired views determine the outputs, no
-/// matter which execution model delivered them.
-pub(crate) fn outputs_from_view_ids(
+/// every acquired `B^φ(u)` from the chains `levels[d][u] = B^d(u)` and emit
+/// its tree path to the leader. Used by both the clean pipeline and the
+/// adversarial one ([`crate::adversity`]) — the acquired views determine
+/// the outputs, no matter which execution model delivered them.
+pub(crate) fn outputs_from_levels(
     decoded: &DecodedAdvice,
     arena: &ShardedViewArena,
-    ids: &[ViewId],
+    levels: &[Vec<ViewId>],
 ) -> Result<Vec<PortPath>, ElectionError> {
-    let mut memo = LabelMemo::new(&decoded.e1, &decoded.e2);
-    let parents = decoded.tree.parent_map();
-    let mut outputs = Vec::with_capacity(ids.len());
-    for &id in ids {
-        let x = retrieve_label_arena(arena, id, &mut memo);
-        // O(path length) walk through the pre-indexed parent relation,
-        // identical to LabeledTree::path_to_root.
-        let flat: Vec<usize> = decoded
-            .tree
-            .path_to_root_via(&parents, x)
-            .ok_or_else(|| {
-                ElectionError::MalformedAdvice(format!(
-                    "label {x} has no path to the root in the advice tree"
-                ))
-            })?
-            .iter()
-            .map(|&p| p as usize)
-            .collect();
-        outputs.push(
-            PortPath::from_flat(&flat)
-                .ok_or_else(|| ElectionError::MalformedAdvice("odd-length tree path".into()))?,
-        );
-    }
-    Ok(outputs)
+    let labels = retrieve_labels(arena, levels, &decoded.e1, &decoded.e2);
+    // The preorder position of the first tree node carrying each label —
+    // the node LabeledTree::path_to_root finds.
+    let mut positions: Vec<(u64, usize)> = decoded.tree.labels().zip(0..).collect();
+    positions.sort_unstable();
+    positions.dedup_by_key(|&mut (label, _)| label);
+    labels
+        .iter()
+        .map(|&x| {
+            let hops = positions
+                .binary_search_by_key(&x, |&(label, _)| label)
+                .ok()
+                .and_then(|k| decoded.tree.hops_from(positions[k].1))
+                .ok_or_else(|| {
+                    ElectionError::MalformedAdvice(format!(
+                        "label {x} has no path to the root in the advice tree"
+                    ))
+                })?;
+            Ok(PortPath::from_pairs(
+                hops.map(|(p, q)| (p as usize, q as usize)).collect(),
+            ))
+        })
+        .collect()
 }
 
 /// The error naming the first node that failed to halt.
@@ -424,5 +454,109 @@ mod tests {
         let outcome = elect_all(&g).unwrap();
         assert_eq!(outcome.time, 1);
         assert!(outcome.advice_bits > 0);
+    }
+
+    /// `bits` with one part `depth` codes deep (a random part at every
+    /// level, the whole string if it has no parts) passed through `mutate`
+    /// and every enclosing code rebuilt around it.
+    fn mutate_nested(
+        bits: &BitString,
+        depth: usize,
+        rng: &mut rand::rngs::StdRng,
+        mutate: &mut dyn FnMut(&mut Vec<bool>, &mut rand::rngs::StdRng),
+    ) -> BitString {
+        use rand::Rng;
+        if let Some(mut parts) = anet_advice::codec::decode(bits)
+            .ok()
+            .filter(|parts| depth > 0 && !parts.is_empty())
+        {
+            let i = rng.gen_range(0..parts.len());
+            parts[i] = mutate_nested(&parts[i], depth - 1, rng, mutate);
+            return anet_advice::codec::concat(&parts);
+        }
+        let mut raw: Vec<bool> = bits.iter().collect();
+        mutate(&mut raw, rng);
+        BitString::from_bits(&raw)
+    }
+
+    #[test]
+    fn mutated_advice_is_refused_or_elects_but_never_panics() {
+        // Seeded bit flips, pair flips, truncations and splices, each made
+        // at a random nesting depth of honest advice (the outer string, an
+        // item, E1, E2, one of its lists or tries, the tree) with the codes
+        // around it rebuilt, so that mutants reach every decoder and the
+        // run behind them. Every mutant must decode or be refused as
+        // malformed, and every decoded one must run to a verified election
+        // or a typed error.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let samples: Vec<(Graph, BitString)> = feasible_samples()
+            .into_iter()
+            .map(|g| {
+                let bits = compute_advice(&g).unwrap().bits;
+                (g, bits)
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(2017);
+        let (mut decoded, mut elected) = (0, 0);
+        for round in 0..3000 {
+            let (g, honest) = &samples[round % samples.len()];
+            let donor: Vec<bool> = samples[rng.gen_range(0..samples.len())].1.iter().collect();
+            let depth = rng.gen_range(0..6usize);
+            let mut mutate = |raw: &mut Vec<bool>, rng: &mut StdRng| {
+                let at = rng.gen_range(0..raw.len() + 1);
+                match round % 4 {
+                    0 if at < raw.len() => raw[at] = !raw[at],
+                    1 if at + 1 < raw.len() => {
+                        let pair = at & !1;
+                        raw[pair] = !raw[pair];
+                        raw[pair + 1] = !raw[pair + 1];
+                    }
+                    2 => raw.truncate(at),
+                    _ => {
+                        let end = rng.gen_range(at..raw.len() + 1);
+                        let from = rng.gen_range(0..donor.len());
+                        let to = rng.gen_range(from..donor.len() + 1);
+                        raw.splice(at..end, donor[from..to].iter().copied());
+                    }
+                }
+            };
+            let mutant = mutate_nested(honest, depth, &mut rng, &mut mutate);
+            match decode_advice(&mutant) {
+                Ok(_) => decoded += 1,
+                Err(ElectionError::MalformedAdvice(_)) => continue,
+                Err(e) => panic!("decode_advice answered {e:?}"),
+            }
+            let arena = Arc::new(ShardedViewArena::new());
+            if let Ok(sim) = simulate_election_in(g, &mutant, &arena) {
+                if verify_election(g, &sim.outputs).is_ok() {
+                    elected += 1;
+                }
+            }
+        }
+        assert!(decoded > 300, "only {decoded} mutants decoded");
+        assert!(elected > 30, "only {elected} decoded mutants elected");
+    }
+
+    #[test]
+    fn deep_election_runs_on_a_small_stack() {
+        // A 300-node tail makes φ = 149 and a BFS tree of depth ~300. The
+        // oracle, the exchange, the labels and the output paths must all
+        // run as loops: the whole election fits a 128 KiB thread stack.
+        let worker = std::thread::Builder::new()
+            .stack_size(128 * 1024)
+            .spawn(|| {
+                let g = generators::lollipop(3, 300);
+                let inst = Instance::new(&g);
+                let outcome = crate::scheme::AdviceScheme::elect(&crate::MinTime, &inst)
+                    .expect("lollipop(3, 300) is feasible");
+                let advice = inst.advice().expect("feasible");
+                assert_eq!(outcome.time, 149);
+                assert_eq!(outcome.leader, advice.root);
+                assert_eq!(verify_election(&g, &outcome.outputs), Ok(advice.root));
+                assert!(advice.tree.depth() > 149);
+            })
+            .expect("spawn the small-stack worker");
+        worker.join().expect("the deep election must not overflow");
     }
 }

@@ -13,7 +13,7 @@
 //! so the oracle and the nodes must compute it identically — both call
 //! [`bin_b1`].
 
-use anet_advice::{codec, BitString};
+use anet_advice::{BitString, ConcatWriter};
 use anet_graph::{Graph, NodeId};
 use anet_views::{AugmentedView, ShardedViewArena, ViewId};
 
@@ -37,11 +37,16 @@ pub fn bin_b1(view: &AugmentedView) -> BitString {
 /// `Concat` of the triples `(j, a_j, b_j)` given `(a_j, b_j)` in port order
 /// `j = 0, 1, …` — the list form of `B^1` every `bin_b1*` variant encodes.
 fn encode_triples(ports: impl Iterator<Item = (usize, usize)>) -> BitString {
-    let triples: Vec<BitString> = ports
-        .enumerate()
-        .map(|(j, (a_j, b_j))| codec::concat_uints(&[j as u64, a_j as u64, b_j as u64]))
-        .collect();
-    codec::concat(&triples)
+    let mut list = ConcatWriter::new();
+    let mut triple = ConcatWriter::new();
+    for (j, (a_j, b_j)) in ports.enumerate() {
+        triple.clear();
+        for x in [j, a_j, b_j] {
+            triple.uint(x as u64);
+        }
+        list.part(triple.bits());
+    }
+    list.finish()
 }
 
 /// The length in bits of `bin(B^1(v))`; convenience for Proposition 3.3

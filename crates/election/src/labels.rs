@@ -7,15 +7,14 @@
 //! queries with the same predicates and evaluate `RetrieveLabel`'s
 //! summation with the same per-depth index of `L(d)`, which is exactly what
 //! makes the advice consistent. The oracle reads views as refinement
-//! classes; a node reads its own interned view ([`retrieve_label_arena`]).
+//! classes; the nodes read the chains of interned views their `COM` run
+//! acquired, labelled a depth at a time ([`retrieve_labels`]).
 //!
 //! All three procedures manipulate augmented truncated views. The paper's
 //! "lexicographic order of binary representations" is realized by the
 //! canonical order of [`AugmentedView`] for views of depth `>= 2`, and by the
 //! paper-exact `bin(B^1)` code (see [`crate::encoding`]) for views of depth
 //! 1 — the depth-1 trie queries literally ask about bits of that code.
-
-use std::collections::HashMap;
 
 use anet_advice::{codec, BitString, Query, Trie, TrieRef};
 use anet_graph::{ClassId, Graph, NodeId};
@@ -211,13 +210,14 @@ pub fn discriminatory_index_and_subview(s: &[AugmentedView]) -> (usize, Augmente
 // class, "the two canonically smallest views" is a min-2 selection over
 // ranks, subview equality is class equality, and every class of a depth is
 // labelled in one pass over its representatives. The nodes, which hold only
-// their own acquired view, run `RetrieveLabel` over interned arena views
-// (`retrieve_label_arena`), memoized per distinct view. Both sides answer
-// queries with the same two predicates and evaluate Algorithm 3's summation
-// with the same per-depth `LabelIndex` — one binary search per view instead
-// of a scan of `L(d)` — so they agree by construction. The tree-based
-// functions above remain the oracle: advice, labels and node outputs are
-// asserted identical by unit and property tests.
+// the views they acquired, label the interned chains `B^1(u) … B^φ(u)` of
+// their `COM` run the same way, one pass per depth (`retrieve_labels`).
+// Both sides answer queries with the same two predicates and evaluate
+// Algorithm 3's summation with the same per-depth `LabelIndex` — one binary
+// search per view instead of a scan of `L(d)` — so they agree by
+// construction. The tree-based functions above remain the oracle: advice,
+// labels and node outputs are asserted identical by unit and property
+// tests.
 // ---------------------------------------------------------------------------
 
 /// Answers a depth-1 query of `E1` from the code `bin(B^1)` of the view:
@@ -357,12 +357,11 @@ pub(crate) fn build_trie_codes(bins: &[BitString]) -> Trie {
         } else {
             // All lengths equal: find the first differing (1-based) bit, the
             // earliest bit where some member differs from the first one.
-            let first = bins[set[0]].bits();
+            let first = &bins[set[0]];
             let mut j = max;
             for &c in &set[1..] {
-                let other = &bins[c].bits()[start..j];
-                if let Some(k) = other.iter().zip(&first[start..j]).position(|(x, y)| x != y) {
-                    j = start + k;
+                if let Some(k) = first.first_difference(&bins[c], start) {
+                    j = j.min(k);
                 }
             }
             debug_assert!(j < max, "distinct views have distinct codes");
@@ -473,76 +472,66 @@ pub(crate) fn class_labels(
         .collect()
 }
 
-/// The node-side state of `RetrieveLabel` for one decoded advice, shared
-/// across all label queries of one election run: the label of every
-/// distinct view computed so far, and the index of each `L(d)`, built once
-/// on first use.
-#[derive(Debug)]
-pub struct LabelMemo<'a> {
-    e1: &'a Trie,
-    e2: &'a NestedList,
-    /// `indices[d]`: the index of `L(d)` once built.
-    indices: Vec<Option<LabelIndex<'a>>>,
-    labels: HashMap<ViewId, u64>,
+/// `L(d)`: the first list attached to depth `d` in `E2`, or an empty list
+/// if there is none.
+fn list_at(e2: &NestedList, d: usize) -> &[(u64, Trie)] {
+    e2.iter()
+        .find(|(depth, _)| *depth == d as u64)
+        .map_or(&[][..], |(_, list)| list.as_slice())
 }
 
-impl<'a> LabelMemo<'a> {
-    /// Empty caches for the advice items `E1` and `E2`.
-    pub fn new(e1: &'a Trie, e2: &'a NestedList) -> Self {
-        LabelMemo {
-            e1,
-            e2,
-            indices: Vec::new(),
-            labels: HashMap::new(),
-        }
-    }
-
-    /// The index of `L(d)`: the first list attached to depth `d` in `E2`,
-    /// or an empty list if there is none.
-    fn index(&mut self, d: usize) -> &LabelIndex<'a> {
-        if self.indices.len() <= d {
-            self.indices.resize_with(d + 1, || None);
-        }
-        let e2 = self.e2;
-        self.indices[d].get_or_insert_with(|| {
-            let list = e2
-                .iter()
-                .find(|(depth, _)| *depth == d as u64)
-                .map_or(&[][..], |(_, list)| list.as_slice());
-            LabelIndex::new(list)
-        })
-    }
-}
-
-/// `RetrieveLabel(B, E1, E2)` — Algorithm 3 — against an arena view,
-/// memoized per distinct view. Produces exactly the label of
-/// [`retrieve_label`] on the materialized tree: `O(Δ + log |L(d)| +
+/// `RetrieveLabel(B^φ(v), E1, E2)` — Algorithm 3 — of every node `v` at
+/// once, from its chain of interned views: `levels[d][v]` is `B^d(v)` for
+/// `d = 0..=φ`, as a `COM` run acquires them. Returns the labels indexed by
+/// node, exactly those of [`retrieve_label`] on the materialized views.
+///
+/// The labels go depth by depth into a table indexed by
+/// [`ViewId::index`], each distinct view labelled once: depth 1 from the
+/// code `bin(B^1)` and `E1`, depth `d >= 2` from the label of the view's
+/// own depth-`(d-1)` truncation and those of its children, through the
+/// index of `L(d)`. The truncation of `levels[d][v]` is `levels[d - 1][v]`,
+/// and its children are neighbors' depth-`(d-1)` views, which are entries of
+/// `levels[d - 1]` too — so both were labelled by the previous pass, and no
+/// truncation, recursion or hashing is needed: `O(Δ + log |L(d)| +
 /// height)` per distinct view.
-pub fn retrieve_label_arena(arena: &ShardedViewArena, id: ViewId, memo: &mut LabelMemo<'_>) -> u64 {
-    if let Some(&label) = memo.labels.get(&id) {
-        return label;
-    }
-    let d = arena.depth(id);
-    assert!(d >= 1, "RetrieveLabel requires a view of positive depth");
-    let label = if d == 1 {
-        if memo.e1.is_leaf() {
-            1
-        } else {
-            depth_one_label(&bin_b1_arena(arena, id), memo.e1)
+pub fn retrieve_labels(
+    arena: &ShardedViewArena,
+    levels: &[Vec<ViewId>],
+    e1: &Trie,
+    e2: &NestedList,
+) -> Vec<u64> {
+    let size = levels.iter().flatten().map(|id| id.index() + 1).max();
+    // 0 marks a view not labelled yet: labels start at 1.
+    let mut labels = vec![0u64; size.unwrap_or(0)];
+    for &id in levels.get(1).into_iter().flatten() {
+        if labels[id.index()] == 0 {
+            labels[id.index()] = if e1.is_leaf() {
+                1
+            } else {
+                depth_one_label(&bin_b1_arena(arena, id), e1)
+            };
         }
-    } else {
-        // Labels of the children (the depth-(d-1) views of the neighbors),
-        // in port order, then of our own depth-(d-1) truncation.
-        let x: Vec<u64> = arena
-            .children(id)
-            .into_iter()
-            .map(|(_, c)| retrieve_label_arena(arena, c, memo))
-            .collect();
-        let own = retrieve_label_arena(arena, arena.truncate_one(id), memo);
-        memo.index(d).label(own, &x)
-    };
-    memo.labels.insert(id, label);
-    label
+    }
+    let mut x = Vec::new();
+    for d in 2..levels.len() {
+        let index = LabelIndex::new(list_at(e2, d));
+        for (&id, &own) in levels[d].iter().zip(&levels[d - 1]) {
+            if labels[id.index()] != 0 {
+                continue;
+            }
+            x.clear();
+            x.extend(
+                arena
+                    .children(id)
+                    .iter()
+                    .map(|&(_, child)| labels[child.index()]),
+            );
+            labels[id.index()] = index.label(labels[own.index()], &x);
+        }
+    }
+    levels.last().map_or_else(Vec::new, |top| {
+        top.iter().map(|id| labels[id.index()]).collect()
+    })
 }
 
 /// Encodes the nested list `E2` as a bit string (`bin(E2)` of
@@ -701,8 +690,7 @@ mod tests {
             let arena_trie = build_trie_codes(&bins);
             assert_eq!(arena_trie, oracle_trie, "E1 tries must be identical");
 
-            let e2 = Vec::new();
-            let mut memo = LabelMemo::new(&arena_trie, &e2);
+            let labels = retrieve_labels(&arena, &levels, &arena_trie, &Vec::new());
             for v in g.nodes() {
                 assert_eq!(
                     depth_one_label(&bin_b1_arena(&arena, levels[1][v]), &arena_trie),
@@ -710,7 +698,7 @@ mod tests {
                     "depth-1 label of node {v}"
                 );
                 assert_eq!(
-                    retrieve_label_arena(&arena, levels[1][v], &mut memo),
+                    labels[v],
                     retrieve_label(&views[v], &oracle_trie, &Vec::new())
                 );
             }
@@ -742,10 +730,10 @@ mod tests {
         let views = AugmentedView::compute_all(&g, advice.phi);
         let arena = ShardedViewArena::new();
         let levels = arena.compute_levels(&g, advice.phi);
-        let mut memo = LabelMemo::new(&advice.e1, &e2);
+        let labels = retrieve_labels(&arena, &levels, &advice.e1, &e2);
         for v in g.nodes() {
             assert_eq!(
-                retrieve_label_arena(&arena, levels[advice.phi][v], &mut memo),
+                labels[v],
                 retrieve_label(&views[v], &advice.e1, &e2),
                 "node {v}"
             );

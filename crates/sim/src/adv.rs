@@ -313,8 +313,8 @@ mod tests {
         let outcome = AdvRunner::with_threads(&g, depth + 1, 4)
             .run(&FaultPlan::none(), |v, _deg| {
                 let collected = Arc::clone(&collected);
-                ComNode::new(Arc::clone(&arena), depth, move |_arena, view| {
-                    collected.lock()[v] = Some(view);
+                ComNode::new(Arc::clone(&arena), depth, move |_arena, chain| {
+                    collected.lock()[v] = chain.last().copied();
                     PortPath::empty()
                 })
             })

@@ -15,6 +15,13 @@
 //! executable, and it is the communication layer of the minimum-time election
 //! algorithm.
 //!
+//! When it halts, a [`ComNode`] hands its continuation the whole chain
+//! `B^0(u), ..., B^t(u)` it assembled, one view per depth. The truncation of
+//! `B^d(u)` is the chain's previous entry, and the children of `B^d(u)` are
+//! the neighbors' depth-`(d-1)` entries, so the node side of `Elect` labels
+//! every view a depth at a time over the chains, without truncating or
+//! recursing.
+//!
 //! ## Representation: hash-consed views
 //!
 //! A materialized view tree grows like `Δ^depth`, so shipping explicit
@@ -96,37 +103,40 @@ pub struct ViewMessage {
 }
 
 /// A node algorithm that runs `COM(0), ..., COM(target_depth - 1)` and then
-/// halts, handing its accumulated view `B^target_depth(u)` — as an id into
-/// the run's shared arena — to a continuation that produces the election
-/// output.
+/// halts, handing the chain of views it acquired, `B^0(u), ...,
+/// B^target_depth(u)` — as ids into the run's shared arena — to a
+/// continuation that produces the election output.
 pub struct ComNode<F>
 where
-    F: FnMut(&ShardedViewArena, ViewId) -> PortPath,
+    F: FnMut(&ShardedViewArena, &[ViewId]) -> PortPath,
 {
     arena: SharedViewArena,
     degree: usize,
     target_depth: usize,
-    /// The current view `B^i(u)`; `B^0(u)` right after `init`.
-    current: Option<ViewId>,
+    /// `B^0(u), ..., B^i(u)`: one view per depth so far, the current one
+    /// last; empty before `init`.
+    chain: Vec<ViewId>,
     /// Set when a round was missing a neighbor's message: the node can no
     /// longer assemble well-formed views and refuses to ever halt.
     stalled: bool,
-    /// What to do with `B^target_depth(u)` once acquired.
+    /// What to do with the chain `B^0(u), ..., B^target_depth(u)` once
+    /// acquired.
     finish: F,
 }
 
 impl<F> ComNode<F>
 where
-    F: FnMut(&ShardedViewArena, ViewId) -> PortPath,
+    F: FnMut(&ShardedViewArena, &[ViewId]) -> PortPath,
 {
     /// Creates a node that exchanges views for `target_depth` rounds through
-    /// the shared `arena` and then outputs `finish(arena, B^target_depth(u))`.
+    /// the shared `arena` and then outputs `finish(arena, chain)`, where
+    /// `chain[d]` is `B^d(u)` for `d = 0..=target_depth`.
     pub fn new(arena: SharedViewArena, target_depth: usize, finish: F) -> Self {
         ComNode {
             arena,
             degree: 0,
             target_depth,
-            current: None,
+            chain: Vec::new(),
             stalled: false,
             finish,
         }
@@ -134,20 +144,20 @@ where
 
     /// The view the node currently holds (for inspection in tests).
     pub fn current_view(&self) -> Option<ViewId> {
-        self.current
+        self.chain.last().copied()
     }
 }
 
 impl<F> NodeAlgorithm for ComNode<F>
 where
-    F: FnMut(&ShardedViewArena, ViewId) -> PortPath,
+    F: FnMut(&ShardedViewArena, &[ViewId]) -> PortPath,
 {
     type Message = ViewMessage;
 
     fn init(&mut self, degree: usize) {
         self.degree = degree;
         // B^0(u): a single node labeled by the degree.
-        self.current = Some(self.arena.intern_leaf(degree));
+        self.chain = vec![self.arena.intern_leaf(degree)];
     }
 
     fn send(&mut self, _round: usize) -> Vec<Option<ViewMessage>> {
@@ -158,7 +168,7 @@ where
             // can only under-deliver, never mis-deliver.
             return vec![None; self.degree];
         }
-        let Some(view) = self.current else {
+        let Some(view) = self.current_view() else {
             // Unreachable through the runners (init always precedes send);
             // a well-formed all-silent round keeps the engine contract.
             return vec![None; self.degree];
@@ -179,8 +189,10 @@ where
         }
         if self.target_depth == 0 {
             // No communication needed: B^0 is known locally.
-            let view = self.current?;
-            return Some((self.finish)(&self.arena, view));
+            if self.chain.is_empty() {
+                return None;
+            }
+            return Some((self.finish)(&self.arena, &self.chain));
         }
         // Assemble B^{round+1}(u) from the B^{round}(neighbor)s received in
         // port order; the child on port p records the neighbor's port of the
@@ -198,9 +210,9 @@ where
             }
         }
         let assembled = self.arena.intern(self.degree, children);
-        self.current = Some(assembled);
+        self.chain.push(assembled);
         if round + 1 == self.target_depth {
-            Some((self.finish)(&self.arena, assembled))
+            Some((self.finish)(&self.arena, &self.chain))
         } else {
             None
         }
@@ -232,8 +244,8 @@ pub fn exchange_view_ids(
     let runner = SyncRunner::new(g, depth + 1);
     runner.run_indexed(|slot, _degree| {
         let collected = Arc::clone(&collected);
-        ComNode::new(Arc::clone(&arena), depth, move |_arena, view| {
-            collected.lock()[slot] = Some(view);
+        ComNode::new(Arc::clone(&arena), depth, move |_arena, chain| {
+            collected.lock()[slot] = chain.last().copied();
             PortPath::empty()
         })
     })?;

@@ -273,8 +273,8 @@ mod tests {
             .run(plan, |slot, _deg| {
                 let collected = Arc::clone(&collected);
                 ReliableLink::new(
-                    ComNode::new(Arc::clone(&arena), depth, move |_a, view| {
-                        collected.lock()[slot] = Some(view);
+                    ComNode::new(Arc::clone(&arena), depth, move |_a, chain| {
+                        collected.lock()[slot] = chain.last().copied();
                         PortPath::empty()
                     }),
                     linger,

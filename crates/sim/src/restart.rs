@@ -361,8 +361,8 @@ mod tests {
                 Restartable::new(
                     move || {
                         let collected = Arc::clone(&collected);
-                        ComNode::new(Arc::clone(&arena), depth, move |_a, view| {
-                            collected.lock()[slot] = Some(view);
+                        ComNode::new(Arc::clone(&arena), depth, move |_a, chain| {
+                            collected.lock()[slot] = chain.last().copied();
                             PortPath::empty()
                         })
                     },

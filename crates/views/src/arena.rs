@@ -89,8 +89,12 @@ impl ViewId {
     /// index for side tables keyed by view.
     ///
     /// Ids minted by a [`ShardedViewArena`](crate::ShardedViewArena) are
-    /// unique but *not* dense (they pack a shard tag); side tables for those
-    /// use hash maps keyed by the id instead.
+    /// unique but *not* dense: they pack a shard tag under a per-shard
+    /// local index, so they stay below `SHARD_COUNT` times the largest
+    /// shard's length. The shards are balanced by a structural hash, so a
+    /// vector sized by the largest index in use is still a small multiple
+    /// of the number of views, and side tables for those ids are plain
+    /// vectors too (the node side of `Elect` labels views this way).
     pub fn index(self) -> usize {
         self.0 as usize
     }

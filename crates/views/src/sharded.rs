@@ -19,8 +19,10 @@
 //! * **Per-shard dense id ranges** — a [`ViewId`] packs
 //!   `(local_index << SHARD_BITS) | shard`, so ids stay 32-bit, lookups are
 //!   lock-one-shard, and each shard grows its own dense range independently.
-//!   Ids are unique but (unlike the sequential arena's) not globally dense;
-//!   all consumers key side tables by hash map, never by raw index.
+//!   Ids are unique but (unlike the sequential arena's) not globally dense:
+//!   a side table indexed by [`ViewId::index`] is sized by the largest id
+//!   in use, a small multiple of the record count since the shards are
+//!   hash-balanced.
 //! * **Per-operation memo** — `truncate_one` keeps an exact per-shard memo
 //!   (same contract as the sequential arena). [`cmp_views`] is a plain
 //!   compare: equal subviews intern to one id, so it descends into one
