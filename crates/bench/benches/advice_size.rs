@@ -2,7 +2,7 @@
 //! minimum-time election pipeline across growing feasible graphs.
 
 use anet_bench::workloads;
-use anet_election::{compute_advice, elect_all};
+use anet_election::{compute_advice, AdviceScheme, Instance, MinTime};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_compute_advice(c: &mut Criterion) {
@@ -23,7 +23,7 @@ fn bench_full_election(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(&inst.name),
             &inst.graph,
-            |b, g| b.iter(|| elect_all(g).unwrap().time),
+            |b, g| b.iter(|| MinTime.elect(&Instance::new(g)).unwrap().time),
         );
     }
     group.finish();

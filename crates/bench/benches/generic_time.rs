@@ -2,8 +2,7 @@
 //! milestones of Theorem 4.1.
 
 use anet_bench::workloads;
-use anet_election::generic::generic_elect_all;
-use anet_election::milestones::{election_milestone, Milestone};
+use anet_election::{AdviceScheme, Generic, Instance, Milestone, MilestoneScheme};
 use anet_views::election_index;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -14,7 +13,12 @@ fn bench_generic(c: &mut Criterion) {
         for extra in [0usize, 4] {
             let id = format!("{} x=phi+{extra}", inst.name);
             group.bench_with_input(BenchmarkId::from_parameter(id), &inst.graph, |b, g| {
-                b.iter(|| generic_elect_all(g, phi + extra).unwrap().time)
+                b.iter(|| {
+                    Generic { x: phi + extra }
+                        .elect(&Instance::new(g))
+                        .unwrap()
+                        .time
+                })
             });
         }
     }
@@ -28,7 +32,7 @@ fn bench_milestones(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{m:?}")),
             &inst.graph,
-            |b, g| b.iter(|| election_milestone(g, m, 2).unwrap().generic.time),
+            |b, g| b.iter(|| MilestoneScheme(m).elect(&Instance::new(g)).unwrap().time),
         );
     }
     group.finish();

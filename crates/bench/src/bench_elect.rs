@@ -20,7 +20,8 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use anet_election::{simulate_election, verify_election, Instance};
+use anet_election::elect::simulate_election_in;
+use anet_election::{verify_election, Instance};
 use anet_graph::RefineOptions;
 
 use crate::workloads;
@@ -97,7 +98,7 @@ pub fn run_elect_sweep(max_n: usize, threads: usize) -> Vec<ElectRecord> {
             let advice_ms = start.elapsed().as_secs_f64() * 1e3;
 
             let start = Instant::now();
-            let sim = simulate_election(g, advice)
+            let sim = simulate_election_in(g, &advice.bits, &session.arena())
                 .unwrap_or_else(|e| panic!("{}: Elect simulation failed: {e}", inst.name));
             let sim_ms = start.elapsed().as_secs_f64() * 1e3;
 

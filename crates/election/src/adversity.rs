@@ -29,13 +29,12 @@
 //! outcome-identical, degraded-but-correct, or correctly-refused on this
 //! basis.
 
+use std::sync::Arc;
+
 use anet_graph::{NodeId, PortPath};
 use anet_sim::{AdvRunner, FaultPlan, ReliableLink, Restartable, RunStats};
 
-use crate::elect::{
-    collect_deposits, com_node, decode_advice_for, first_unhalted, new_deposits,
-    outputs_from_levels,
-};
+use crate::elect::{com_node, decode_advice_for, run_elect, Deposits};
 use crate::error::ElectionError;
 use crate::instance::Instance;
 use crate::verify::verify_election;
@@ -89,10 +88,8 @@ impl Instance {
         let g = self.graph();
         let decoded = decode_advice_for(g, &advice_bits)?;
         let phi = decoded.phi;
-        let n = g.num_nodes();
         let diameter = self.diameter();
         let arena = self.arena();
-        let deposits = new_deposits(n, phi);
 
         // Wrapper budgets, derived from the graph: the stall threshold must
         // exceed the diameter (a travelling reset wave is not a wedge) and
@@ -111,29 +108,28 @@ impl Instance {
         let link_linger = 2 * window + 2;
         let max_rounds = 64 + 8 * (phi + diameter + stall + restart_linger + window);
 
-        let mk_com = |slot: usize| com_node(&arena, phi, &deposits, slot);
         let runner = AdvRunner::with_threads(g, max_rounds, threads);
-        let outcome = match model {
-            ExecutionModel::Raw => runner.run(plan, |slot, _deg| mk_com(slot)),
-            ExecutionModel::ReliableLinks => runner.run(plan, |slot, _deg| {
-                ReliableLink::new(mk_com(slot), link_linger)
-            }),
-            ExecutionModel::Restartable => runner.run(plan, |slot, _deg| {
-                Restartable::new(move || mk_com(slot), stall, restart_linger)
-            }),
+        let com = |slot: usize, deposits: &Deposits| com_node(&arena, phi, deposits, slot);
+        let sim = match model {
+            ExecutionModel::Raw => run_elect(g, &decoded, &arena, &runner, plan, com),
+            ExecutionModel::ReliableLinks => {
+                run_elect(g, &decoded, &arena, &runner, plan, |slot, deposits| {
+                    ReliableLink::new(com(slot, deposits), link_linger)
+                })
+            }
+            ExecutionModel::Restartable => {
+                run_elect(g, &decoded, &arena, &runner, plan, |slot, deposits| {
+                    let deposits = Arc::clone(deposits);
+                    Restartable::new(move || com(slot, &deposits), stall, restart_linger)
+                })
+            }
         }?;
-        let time = outcome
-            .election_time()
-            .ok_or_else(|| first_unhalted(&outcome.outputs))?;
-
-        let levels = collect_deposits(&deposits.lock())?;
-        let outputs = outputs_from_levels(&decoded, &arena, &levels)?;
-        let leader = verify_election(g, &outputs)?;
+        let leader = verify_election(g, &sim.outputs)?;
         Ok(AdversityOutcome {
             leader,
-            outputs,
-            time,
-            stats: outcome.stats,
+            outputs: sim.outputs,
+            time: sim.time,
+            stats: sim.stats,
         })
     }
 }
@@ -141,6 +137,7 @@ impl Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::AdviceScheme;
     use anet_graph::generators;
     use anet_sim::{CrashEvent, CrashSemantics};
 
@@ -148,14 +145,14 @@ mod tests {
     fn fault_free_models_all_elect_the_clean_leader_in_phi_rounds() {
         let g = generators::lollipop(5, 4);
         let inst = Instance::new(&g);
-        let clean = crate::elect_all(&g).unwrap();
+        let clean = crate::MinTime.elect(&Instance::new(&g)).unwrap();
         let raw = inst
             .elect_under(&FaultPlan::none(), ExecutionModel::Raw, 1)
             .unwrap();
         assert_eq!(raw.leader, clean.leader);
         assert_eq!(raw.outputs, clean.outputs);
         assert_eq!(raw.time, clean.time);
-        assert_eq!(raw.stats, clean.stats);
+        assert_eq!(Some(raw.stats), clean.stats);
         for model in [ExecutionModel::ReliableLinks, ExecutionModel::Restartable] {
             let out = inst.elect_under(&FaultPlan::none(), model, 1).unwrap();
             assert_eq!(out.leader, clean.leader, "{model:?}");

@@ -10,9 +10,10 @@
 //! 4. outputs the port sequence of the unique tree path from the node
 //!    labeled `x` to the node labeled 1 (the leader).
 //!
-//! [`elect_all`] runs this node algorithm on every node through the LOCAL
-//! simulator, verifies the outcome, and reports the election time and advice
-//! size — the two quantities Theorem 3.1 relates.
+//! [`simulate_election_in`] runs this node algorithm on every node through
+//! the LOCAL simulator; the [`MinTime`](crate::MinTime) scheme verifies the
+//! outcome and reports the election time and advice size — the two
+//! quantities Theorem 3.1 relates.
 //!
 //! ## Scaling notes
 //!
@@ -41,36 +42,14 @@
 use std::sync::Arc;
 
 use anet_advice::BitString;
-use anet_graph::{Graph, NodeId, PortPath};
-use anet_sim::{ComNode, RunStats, SharedViewArena, SyncRunner};
+use anet_graph::{Graph, PortPath};
+use anet_sim::{AdvRunner, ComNode, FaultPlan, NodeAlgorithm, RunStats, SharedViewArena};
 use anet_views::{AugmentedView, ShardedViewArena, ViewId};
 use parking_lot::Mutex;
 
-use crate::advice_build::{decode_advice, Advice, DecodedAdvice};
+use crate::advice_build::{decode_advice, DecodedAdvice};
 use crate::error::ElectionError;
-use crate::instance::Instance;
 use crate::labels::{retrieve_label, retrieve_labels};
-use crate::verify::verify_election;
-
-/// The result of a complete minimum-time election run.
-#[derive(Debug, Clone)]
-pub struct ElectionOutcome {
-    /// The elected leader (simulator-level id, recovered by verification).
-    pub leader: NodeId,
-    /// The number of communication rounds used (must equal `φ(G)`).
-    pub time: usize,
-    /// The size of the advice in bits.
-    pub advice_bits: usize,
-    /// The election index of the graph.
-    pub phi: usize,
-    /// Per-node outputs (indexed by simulator node id).
-    pub outputs: Vec<PortPath>,
-    /// Message statistics of the simulated `COM` exchange.
-    pub stats: RunStats,
-    /// Number of distinct view subtrees interned by the exchange — the
-    /// total working-set size of the hash-consed representation.
-    pub distinct_views: usize,
-}
 
 /// The outputs and statistics of the simulated `Elect` phase, before
 /// verification (so the two can be timed separately by the bench harness).
@@ -101,70 +80,17 @@ pub fn elect_output(advice: &DecodedAdvice, view: &AugmentedView) -> PortPath {
     PortPath::from_flat(&ports).expect("tree paths have an even number of port entries")
 }
 
-/// Runs the full minimum-time election pipeline on `g`:
-/// `ComputeAdvice` (oracle) → `Elect` on every node (through the LOCAL
-/// simulator) → verification.
-///
-/// A thin compatibility wrapper building a one-shot
-/// [`Instance`] and running the
-/// [`MinTime`](crate::MinTime) scheme; sessions that run several schemes on
-/// the same graph should share one `Instance` (the φ analysis and the view
-/// arena are then computed once).
-pub fn elect_all(g: &Graph) -> Result<ElectionOutcome, ElectionError> {
-    use crate::scheme::AdviceScheme;
-    let inst = Instance::new(g);
-    crate::scheme::MinTime
-        .elect(&inst)
-        .map(ElectionOutcome::from)
-}
-
-impl From<crate::scheme::Outcome> for ElectionOutcome {
-    fn from(o: crate::scheme::Outcome) -> Self {
-        ElectionOutcome {
-            leader: o.leader,
-            time: o.time,
-            advice_bits: o.advice.len(),
-            phi: o.phi,
-            outputs: o.outputs,
-            stats: o.stats.expect("minimum-time outcomes carry COM stats"),
-            distinct_views: o
-                .distinct_views
-                .expect("minimum-time outcomes carry the arena size"),
-        }
-    }
-}
-
-/// Like [`elect_all`] but reuses an already computed [`Advice`] (useful for
-/// benchmarking the phases separately).
-pub fn elect_all_with_advice(g: &Graph, advice: &Advice) -> Result<ElectionOutcome, ElectionError> {
-    let sim = simulate_election(g, advice)?;
-    let leader = verify_election(g, &sim.outputs)?;
-    Ok(ElectionOutcome {
-        leader,
-        time: sim.time,
-        advice_bits: advice.size_bits(),
-        phi: advice.phi,
-        outputs: sim.outputs,
-        stats: sim.stats,
-        distinct_views: sim.distinct_views,
-    })
-}
-
 /// Runs the node side of Algorithm `Elect` on every node of `g` through the
-/// LOCAL simulator, without verifying the outcome: decode the advice, run
-/// `COM(0..φ)` over the shared view arena, label every node's acquired
-/// `B^φ(u)` and emit its tree path to the leader.
-pub fn simulate_election(g: &Graph, advice: &Advice) -> Result<Simulation, ElectionError> {
-    simulate_election_in(g, &advice.bits, &Arc::new(ShardedViewArena::new()))
-}
-
-/// [`simulate_election`] from the raw advice bit string, interning against
-/// the given shared view arena. An [`Instance`] session passes its own
-/// arena here, so its repeated runs (and its view levels, if computed)
-/// share one set of records; passing a fresh arena reproduces the
-/// standalone behavior exactly (the set of interned subtrees is the same
-/// either way). Advice whose election index no graph of this size has is
-/// refused as [`ElectionError::MalformedAdvice`] before any round runs.
+/// LOCAL simulator, without verifying the outcome: decode the advice
+/// string, run `COM(0..φ)` over the shared view arena `arena`, label every
+/// node's acquired `B^φ(u)` and emit its tree path to the leader.
+///
+/// An [`Instance`](crate::Instance) session passes its own arena here, so
+/// its repeated runs (and its view levels, if computed) share one set of
+/// records; passing a fresh arena gives the same outputs (the set of
+/// interned subtrees is the same either way). Advice whose election index
+/// no graph of this size has is refused as
+/// [`ElectionError::MalformedAdvice`] before any round runs.
 pub fn simulate_election_in(
     g: &Graph,
     advice_bits: &BitString,
@@ -175,19 +101,39 @@ pub fn simulate_election_in(
     // per node; decoding is deterministic so the result is identical).
     let decoded = decode_advice_for(g, advice_bits)?;
     let phi = decoded.phi;
+    let runner = AdvRunner::new(g, phi + 1);
+    run_elect(
+        g,
+        &decoded,
+        arena,
+        &runner,
+        &FaultPlan::none(),
+        |slot, deposits| com_node(arena, phi, deposits, slot),
+    )
+}
 
-    // Phase 1: the COM exchange, depositing each node's chain B^0 … B^φ.
-    let deposits = new_deposits(g.num_nodes(), phi);
-    let runner = SyncRunner::new(g, phi + 1);
-    let outcome = runner.run_indexed(|slot, _degree| com_node(arena, phi, &deposits, slot))?;
+/// The node side of `Elect` on `runner` under `plan`: slot `v` runs
+/// `node(v, deposits)` — its `COM` node from [`com_node`], bare or inside a
+/// reliability wrapper — and the chains the nodes deposit become their
+/// outputs (see the module docs for why the local tail is shared). The
+/// clean pipeline runs bare nodes on one thread for φ + 1 rounds under
+/// [`FaultPlan::none`]; [`Instance::elect_under`](crate::Instance::elect_under)
+/// brings its own plan, wrappers, threads and round budget.
+pub(crate) fn run_elect<A: NodeAlgorithm + Send>(
+    g: &Graph,
+    decoded: &DecodedAdvice,
+    arena: &SharedViewArena,
+    runner: &AdvRunner<'_>,
+    plan: &FaultPlan,
+    mut node: impl FnMut(usize, &Deposits) -> A,
+) -> Result<Simulation, ElectionError> {
+    let deposits = new_deposits(g.num_nodes(), decoded.phi);
+    let outcome = runner.run(plan, |slot, _degree| node(slot, &deposits))?;
     let time = outcome
         .election_time()
         .ok_or_else(|| first_unhalted(&outcome.outputs))?;
-
-    // Phase 2: the purely local output computation (shared across nodes;
-    // see the module docs for why this does not change any node's output).
     let levels = collect_deposits(&deposits.lock())?;
-    let outputs = outputs_from_levels(&decoded, arena, &levels)?;
+    let outputs = outputs_from_levels(decoded, arena, &levels)?;
     Ok(Simulation {
         outputs,
         time,
@@ -221,7 +167,7 @@ pub(crate) fn decode_advice_for(
 pub(crate) type Deposits = Arc<Mutex<Vec<Vec<Option<ViewId>>>>>;
 
 /// Empty deposits for `n` nodes running `φ` rounds.
-pub(crate) fn new_deposits(n: usize, phi: usize) -> Deposits {
+fn new_deposits(n: usize, phi: usize) -> Deposits {
     Arc::new(Mutex::new(vec![vec![None; n]; phi + 1]))
 }
 
@@ -246,9 +192,7 @@ pub(crate) fn com_node(
 /// `levels[d][v] = B^d(v)`, erroring on the first node that halted without
 /// depositing (impossible through [`ComNode`]'s callback, but the error
 /// path keeps the pipeline panic-free).
-pub(crate) fn collect_deposits(
-    deposited: &[Vec<Option<ViewId>>],
-) -> Result<Vec<Vec<ViewId>>, ElectionError> {
+fn collect_deposits(deposited: &[Vec<Option<ViewId>>]) -> Result<Vec<Vec<ViewId>>, ElectionError> {
     deposited
         .iter()
         .map(|level| {
@@ -263,10 +207,10 @@ pub(crate) fn collect_deposits(
 
 /// The purely local tail of Algorithm `Elect`, shared across nodes: label
 /// every acquired `B^φ(u)` from the chains `levels[d][u] = B^d(u)` and emit
-/// its tree path to the leader. Used by both the clean pipeline and the
-/// adversarial one ([`crate::adversity`]) — the acquired views determine
-/// the outputs, no matter which execution model delivered them.
-pub(crate) fn outputs_from_levels(
+/// its tree path to the leader. This is the tail of [`run_elect`]: the
+/// acquired views determine the outputs, no matter which execution model
+/// delivered them.
+fn outputs_from_levels(
     decoded: &DecodedAdvice,
     arena: &ShardedViewArena,
     levels: &[Vec<ViewId>],
@@ -297,7 +241,7 @@ pub(crate) fn outputs_from_levels(
 }
 
 /// The error naming the first node that failed to halt.
-pub(crate) fn first_unhalted(outputs: &[Option<PortPath>]) -> ElectionError {
+fn first_unhalted(outputs: &[Option<PortPath>]) -> ElectionError {
     let node = outputs.iter().position(Option::is_none).unwrap_or(0);
     ElectionError::NodeDidNotHalt { node }
 }
@@ -306,8 +250,16 @@ pub(crate) fn first_unhalted(outputs: &[Option<PortPath>]) -> ElectionError {
 mod tests {
     use super::*;
     use crate::advice_build::compute_advice;
+    use crate::scheme::{AdviceScheme, MinTime, Outcome};
+    use crate::verify::verify_election;
+    use crate::Instance;
     use anet_graph::generators;
     use anet_views::election_index;
+
+    /// A minimum-time election on a fresh session of `g`.
+    fn min_time(g: &Graph) -> Result<Outcome, ElectionError> {
+        MinTime.elect(&Instance::new(g))
+    }
 
     fn feasible_samples() -> Vec<Graph> {
         vec![
@@ -331,7 +283,7 @@ mod tests {
     fn election_succeeds_in_exactly_phi_rounds() {
         for g in feasible_samples() {
             let phi = election_index(&g).unwrap();
-            let outcome = elect_all(&g).expect("election must succeed on feasible graphs");
+            let outcome = min_time(&g).expect("election must succeed on feasible graphs");
             assert_eq!(outcome.time, phi, "Theorem 3.1: time equals φ");
             assert_eq!(outcome.phi, phi);
         }
@@ -341,7 +293,7 @@ mod tests {
     fn elected_leader_is_the_advice_root() {
         for g in feasible_samples() {
             let advice = compute_advice(&g).unwrap();
-            let outcome = elect_all_with_advice(&g, &advice).unwrap();
+            let outcome = MinTime.run(&Instance::new(&g), &advice.bits).unwrap();
             assert_eq!(outcome.leader, advice.root);
         }
     }
@@ -349,7 +301,7 @@ mod tests {
     #[test]
     fn all_outputs_are_simple_paths_to_the_leader() {
         for g in feasible_samples() {
-            let outcome = elect_all(&g).unwrap();
+            let outcome = min_time(&g).unwrap();
             for (v, path) in outcome.outputs.iter().enumerate() {
                 assert!(path.is_simple(&g, v));
                 assert_eq!(path.endpoint(&g, v), Some(outcome.leader));
@@ -365,7 +317,8 @@ mod tests {
         for g in feasible_samples() {
             let advice = compute_advice(&g).unwrap();
             let decoded = decode_advice(&advice.bits).unwrap();
-            let sim = simulate_election(&g, &advice).unwrap();
+            let sim =
+                simulate_election_in(&g, &advice.bits, &Arc::new(ShardedViewArena::new())).unwrap();
             let views = AugmentedView::compute_all(&g, decoded.phi);
             for v in g.nodes() {
                 assert_eq!(
@@ -380,15 +333,17 @@ mod tests {
     #[test]
     fn exchange_stats_are_reported() {
         let g = generators::lollipop(5, 4);
-        let outcome = elect_all(&g).unwrap();
+        let outcome = min_time(&g).unwrap();
         let phi = outcome.phi;
+        let stats = outcome.stats.unwrap();
+        let distinct_views = outcome.distinct_views.unwrap();
         // COM sends one 2-word message per edge direction per round.
-        assert_eq!(outcome.stats.rounds, phi);
-        assert_eq!(outcome.stats.messages, 2 * g.num_edges() * phi);
-        assert_eq!(outcome.stats.message_words, 2 * outcome.stats.messages);
+        assert_eq!(stats.rounds, phi);
+        assert_eq!(stats.messages, 2 * g.num_edges() * phi);
+        assert_eq!(stats.message_words, 2 * stats.messages);
         // The arena holds at most one record per (node, depth) pair.
-        assert!(outcome.distinct_views <= g.num_nodes() * (phi + 1));
-        assert!(outcome.distinct_views > 0);
+        assert!(distinct_views <= g.num_nodes() * (phi + 1));
+        assert!(distinct_views > 0);
     }
 
     #[test]
@@ -399,11 +354,11 @@ mod tests {
         use anet_graph::relabel;
         let g = generators::lollipop(5, 4);
         let (h, perm) = relabel::random_node_permutation(&g, 123);
-        let og = elect_all(&g).unwrap();
-        let oh = elect_all(&h).unwrap();
+        let og = min_time(&g).unwrap();
+        let oh = min_time(&h).unwrap();
         assert_eq!(perm[og.leader], oh.leader);
         assert_eq!(og.time, oh.time);
-        assert_eq!(og.advice_bits, oh.advice_bits);
+        assert_eq!(og.advice_bits(), oh.advice_bits());
     }
 
     /// `bits` with its election index item replaced by `phi`.
@@ -443,7 +398,7 @@ mod tests {
     #[test]
     fn infeasible_graph_fails_cleanly() {
         assert!(matches!(
-            elect_all(&generators::ring(5)),
+            min_time(&generators::ring(5)),
             Err(ElectionError::Infeasible)
         ));
     }
@@ -451,9 +406,9 @@ mod tests {
     #[test]
     fn star_elects_in_one_round_with_small_advice() {
         let g = generators::star(6);
-        let outcome = elect_all(&g).unwrap();
+        let outcome = min_time(&g).unwrap();
         assert_eq!(outcome.time, 1);
-        assert!(outcome.advice_bits > 0);
+        assert!(outcome.advice_bits() > 0);
     }
 
     /// `bits` with one part `depth` codes deep (a random part at every
@@ -548,8 +503,7 @@ mod tests {
             .spawn(|| {
                 let g = generators::lollipop(3, 300);
                 let inst = Instance::new(&g);
-                let outcome = crate::scheme::AdviceScheme::elect(&crate::MinTime, &inst)
-                    .expect("lollipop(3, 300) is feasible");
+                let outcome = MinTime.elect(&inst).expect("lollipop(3, 300) is feasible");
                 let advice = inst.advice().expect("feasible");
                 assert_eq!(outcome.time, 149);
                 assert_eq!(outcome.leader, advice.root);

@@ -23,58 +23,13 @@
 use anet_graph::{algo, ClassId, Graph, NodeId, Port, PortPath};
 use anet_views::walks;
 
-use crate::error::ElectionError;
 use crate::instance::Instance;
-
-/// The per-node trace of a `Generic(x)` run.
-#[derive(Debug, Clone)]
-pub struct GenericOutcome {
-    /// The elected leader.
-    pub leader: NodeId,
-    /// The number of rounds after which the *last* node halted (the election
-    /// time in the paper's sense).
-    pub time: usize,
-    /// The parameter `x` the algorithm was run with.
-    pub x: usize,
-    /// Halting round (number of rounds used) of every node.
-    pub halt_rounds: Vec<usize>,
-    /// Election output of every node.
-    pub outputs: Vec<PortPath>,
-}
-
-/// Runs `Generic(x)` on every node of `g` and verifies the outcome.
-///
-/// A thin compatibility wrapper building a one-shot
-/// [`Instance`] and running the
-/// [`Generic`](crate::Generic) scheme; sessions that run several values of
-/// `x` (or several schemes) on the same graph should share one `Instance`.
-///
-/// Returns [`ElectionError::TimeTooSmall`]-flavoured failure as
-/// `LeadersDisagree`/`OutputNotSimplePath` only if `x < φ(G)` actually breaks
-/// the election; with `x >= φ(G)` the run always succeeds (Lemma 4.1).
-pub fn generic_elect_all(g: &Graph, x: usize) -> Result<GenericOutcome, ElectionError> {
-    use crate::scheme::AdviceScheme;
-    let inst = Instance::new(g);
-    crate::scheme::Generic { x }
-        .elect(&inst)
-        .map(GenericOutcome::from)
-}
-
-impl From<crate::scheme::Outcome> for GenericOutcome {
-    fn from(o: crate::scheme::Outcome) -> Self {
-        GenericOutcome {
-            leader: o.leader,
-            time: o.time,
-            x: o.parameter.expect("generic outcomes carry x") as usize,
-            halt_rounds: o.halt_rounds,
-            outputs: o.outputs,
-        }
-    }
-}
 
 /// Executes `Generic(x)` on every node against an instance's cached
 /// analysis, returning the per-node halting rounds and outputs (the
-/// unverified run; [`crate::Generic::run`] verifies and wraps it).
+/// unverified run; [`crate::Generic::run`] verifies and wraps it). The
+/// schemes call it only once `D + x + 1` fits in a `usize`, which bounds
+/// every halting round `x + ecc(u) + 1`.
 ///
 /// When the depth-`x` views of all nodes are distinct (always the case for
 /// `x >= φ` on feasible graphs) the per-node emulation collapses to a
@@ -231,8 +186,15 @@ pub(crate) fn lex_smallest_shortest_path_via(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ElectionError;
+    use crate::scheme::{AdviceScheme, Generic, Outcome};
     use anet_graph::generators;
     use anet_views::{election_index, ViewClasses};
+
+    /// `Generic(x)` on a fresh session of `g`.
+    fn generic(g: &Graph, x: usize) -> Result<Outcome, ElectionError> {
+        Generic { x }.elect(&Instance::new(g))
+    }
 
     fn feasible_samples() -> Vec<Graph> {
         vec![
@@ -255,7 +217,7 @@ mod tests {
             let phi = election_index(&g).unwrap();
             let d = algo::diameter(&g);
             for x in [phi, phi + 1, phi + 3] {
-                let outcome = generic_elect_all(&g, x).expect("Lemma 4.1: election succeeds");
+                let outcome = generic(&g, x).expect("Lemma 4.1: election succeeds");
                 assert!(
                     outcome.time <= d + x + 1,
                     "time {} exceeds D + x + 1 = {}",
@@ -270,7 +232,7 @@ mod tests {
     fn generic_leader_is_the_node_with_smallest_view() {
         for g in feasible_samples() {
             let phi = election_index(&g).unwrap();
-            let outcome = generic_elect_all(&g, phi).unwrap();
+            let outcome = generic(&g, phi).unwrap();
             let classes = ViewClasses::compute(&g, phi);
             let expected = classes.smallest_view_nodes(phi);
             assert_eq!(expected, vec![outcome.leader]);
@@ -281,7 +243,7 @@ mod tests {
     fn all_nodes_elect_the_same_leader_with_simple_paths() {
         for g in feasible_samples() {
             let phi = election_index(&g).unwrap();
-            let outcome = generic_elect_all(&g, phi + 2).unwrap();
+            let outcome = generic(&g, phi + 2).unwrap();
             for (v, p) in outcome.outputs.iter().enumerate() {
                 assert!(p.is_simple(&g, v));
                 assert_eq!(p.endpoint(&g, v), Some(outcome.leader));
@@ -294,7 +256,7 @@ mod tests {
         // The halting round of every node is at least x + 1 by construction.
         let g = generators::lollipop(4, 5);
         let phi = election_index(&g).unwrap();
-        let outcome = generic_elect_all(&g, phi + 4).unwrap();
+        let outcome = generic(&g, phi + 4).unwrap();
         assert!(outcome.halt_rounds.iter().all(|&r| r > phi + 4));
     }
 
@@ -343,7 +305,7 @@ mod tests {
             if phi == 0 {
                 continue;
             }
-            let result = generic_elect_all(&g, phi.saturating_sub(1));
+            let result = generic(&g, phi.saturating_sub(1));
             saw_failure_or_success = true;
             if let Ok(outcome) = result {
                 // If it succeeded the outputs must still verify (they did).

@@ -245,8 +245,9 @@ impl Instance {
 
     /// The view-equivalence class row at depth `depth` (one entry per node,
     /// dense ids in canonical view order), extending the cached table on
-    /// demand. Depths beyond the table's labeling fixed point are served
-    /// from the fixed-point row without any further refinement work, which
+    /// demand. Depths beyond the table's labeling cycle (a fixed point, or
+    /// ranks that repeat with a longer period) are served from the cycle's
+    /// rows without any further refinement work, which
     /// is what makes the milestone schemes' huge `Generic(P)` parameters
     /// affordable.
     pub fn class_row(&self, depth: usize) -> Vec<ClassId> {
@@ -446,7 +447,7 @@ mod tests {
             let eager = ViewClasses::compute(&g, depth);
             assert_eq!(row, eager.classes_at(depth), "depth {depth}");
         }
-        // Depths beyond the labeling fixed point are served without further
+        // Depths beyond the labeling cycle are served without further
         // refinement work and stay consistent.
         assert_eq!(inst.class_row(1_000_000), inst.class_row(999_999));
         assert_eq!(inst.num_classes_at(1_000_000), g.num_nodes());

@@ -15,7 +15,8 @@
 //! * [`elect`] — Algorithm `Elect` (Algorithm 6): the node-side algorithm
 //!   that exchanges views for `φ` rounds through the LOCAL simulator, labels
 //!   itself with `RetrieveLabel`, and outputs the tree path to the root.
-//!   [`elect_all`] runs the whole pipeline and verifies the outcome.
+//!   The [`MinTime`] scheme runs the whole pipeline and verifies the
+//!   outcome.
 //!
 //! Neither side of the Section 3 pipeline materializes a view tree: the
 //! oracle works on the refinement class rows (class ids are canonical view
@@ -34,6 +35,8 @@
 //!   advice of size `O(log φ)`, `O(log log φ)`, `O(log log log φ)`,
 //!   `O(log log* φ)` yielding election in time `D+φ+c`, `D+cφ`, `D+φ^c`,
 //!   `D+c^φ`.
+//! * [`remark`] — the remark after Theorem 4.1: advice
+//!   `Concat(bin(D), bin(φ))` for election in time exactly `D + φ`.
 //!
 //! ## The session API
 //!
@@ -44,10 +47,9 @@
 //!   layer.
 //! * [`scheme`] — [`AdviceScheme`]: every algorithm family above as a
 //!   pluggable scheme ([`MinTime`], [`Generic`], [`MilestoneScheme`],
-//!   [`Remark`]) returning the unified [`Outcome`]; [`scheme_suite`] lists
-//!   the whole tradeoff curve. The free functions ([`elect_all`],
-//!   [`generic_elect_all`], [`election_milestone`], [`remark_elect_all`])
-//!   remain as thin one-shot compatibility wrappers.
+//!   [`Remark`]) returning one [`Outcome`], the only election result type;
+//!   [`scheme_suite`] lists the whole tradeoff curve. A one-shot election
+//!   is a scheme run on `Instance::new(&g)`.
 //!
 //! ## Election under adversity
 //!
@@ -89,11 +91,9 @@ pub mod verify;
 
 pub use adversity::{AdversityOutcome, ExecutionModel};
 pub use advice_build::{compute_advice, Advice};
-pub use elect::{elect_all, simulate_election, ElectionOutcome, Simulation};
+pub use elect::Simulation;
 pub use error::ElectionError;
-pub use generic::{generic_elect_all, GenericOutcome};
 pub use instance::{ComputeCounts, Instance};
-pub use milestones::{election_milestone, Milestone, MilestoneOutcome};
-pub use remark::{remark_elect_all, RemarkOutcome};
+pub use milestones::Milestone;
 pub use scheme::{scheme_suite, AdviceScheme, Generic, MilestoneScheme, MinTime, Outcome, Remark};
 pub use verify::verify_election;

@@ -13,14 +13,13 @@
 //!
 //! Each algorithm reconstructs from its advice an upper bound `P_i >= φ` and
 //! calls `Generic(P_i)`, so the time is at most `D + P_i + 1`, which the
-//! theorem shows is within the corresponding milestone.
+//! theorem shows is within the corresponding milestone. The
+//! [`MilestoneScheme`](crate::MilestoneScheme) runs them on an
+//! [`Instance`](crate::Instance).
 
 use anet_advice::BitString;
-use anet_graph::Graph;
 
 use crate::error::ElectionError;
-use crate::generic::GenericOutcome;
-use crate::instance::Instance;
 pub use crate::math::{floor_log2, log_star, tower};
 
 /// The four time/advice milestones of Theorem 4.1.
@@ -56,34 +55,6 @@ impl Milestone {
     }
 }
 
-/// The result of running a milestone election algorithm.
-#[derive(Debug, Clone)]
-pub struct MilestoneOutcome {
-    /// Which milestone was run.
-    pub milestone: Milestone,
-    /// The advice handed to the nodes.
-    pub advice: BitString,
-    /// The parameter `P_i` reconstructed from the advice (the argument passed
-    /// to `Generic`).
-    pub parameter: u64,
-    /// The underlying `Generic(P_i)` outcome.
-    pub generic: GenericOutcome,
-    /// The time bound `D + f_i(φ)` of Theorem 4.1 for this run.
-    pub time_bound: usize,
-}
-
-impl MilestoneOutcome {
-    /// Size of the advice in bits.
-    pub fn advice_bits(&self) -> usize {
-        self.advice.len()
-    }
-
-    /// Whether the measured election time respects the theorem's bound.
-    pub fn within_bound(&self) -> bool {
-        self.generic.time <= self.time_bound
-    }
-}
-
 /// The oracle side of a milestone: the advice string for a graph of election
 /// index `phi`.
 pub fn milestone_advice(milestone: Milestone, phi: u64) -> BitString {
@@ -96,30 +67,35 @@ pub fn milestone_advice(milestone: Milestone, phi: u64) -> BitString {
 }
 
 /// The node side of a milestone: the parameter `P_i` reconstructed from the
-/// advice (Algorithm 8).
+/// advice (Algorithm 8). The advice is untrusted: an integer whose `P_i`
+/// does not fit in a `u64` is refused as [`ElectionError::MalformedAdvice`]
+/// (honest advice only gets there for `Election4` with `φ > 65536`, whose
+/// `P_4 = 2^65536` no round count can hold).
 pub fn milestone_parameter(milestone: Milestone, advice: &BitString) -> Result<u64, ElectionError> {
     let a = advice.to_uint().ok_or_else(|| {
         ElectionError::MalformedAdvice("milestone advice is not an integer".into())
     })?;
-    Ok(match milestone {
-        Milestone::AddConstant => a,
-        Milestone::LinearFactor => (1u64 << (a + 1)) - 1,
-        Milestone::Polynomial => {
-            let e = 1u64 << (a + 1);
-            if e >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << e) - 1
-            }
-        }
+    let parameter = match milestone {
+        Milestone::AddConstant => Some(a),
+        // 2^(a+1) - 1: the low a + 1 bits set.
+        Milestone::LinearFactor => (a < 64).then(|| u64::MAX >> (63 - a)),
+        // 2^(2^(a+1)) - 1: the low 2^(a+1) bits set.
+        Milestone::Polynomial => (a < 6).then(|| u64::MAX >> (64 - (2u64 << a))),
         // The smallest tower value that dominates φ: by definition of log*,
         // tower(log* φ) >= φ and tower(log* φ - 1) < φ, so this parameter is
         // both large enough to run Generic correctly and small enough
         // (tower(log* φ) <= 2^φ) to stay within the D + c^φ time milestone.
         // (The paper's pseudocode uses one extra tower level, which is not
         // needed for correctness and would overshoot the stated bound for
-        // small φ; see EXPERIMENTS.md.)
-        Milestone::Exponential => tower(a),
+        // small φ; see EXPERIMENTS.md.) tower(5) = 2^65536 is the first
+        // level past u64.
+        Milestone::Exponential => (a < 5).then(|| tower(a)),
+    };
+    parameter.ok_or_else(|| {
+        ElectionError::MalformedAdvice(format!(
+            "milestone{} parameter for advice {a} does not fit in 64 bits",
+            milestone.index()
+        ))
     })
 }
 
@@ -137,39 +113,11 @@ pub fn milestone_time_bound(milestone: Milestone, d: usize, phi: usize, c: usize
     d.saturating_add(offset.min(usize::MAX as u64) as usize)
 }
 
-/// Runs a milestone election algorithm end to end on `g` with constant `c`:
-/// computes the advice from `φ(G)`, reconstructs `P_i`, runs `Generic(P_i)`,
-/// and records the theorem's time bound.
-///
-/// A thin compatibility wrapper over the
-/// [`MilestoneScheme`](crate::MilestoneScheme) session scheme (which fixes
-/// `c = 2`, the smallest constant the theorem admits); the bound is restated
-/// for the requested `c`. Sessions running several milestones on the same
-/// graph should share one [`Instance`].
-pub fn election_milestone(
-    g: &Graph,
-    milestone: Milestone,
-    c: usize,
-) -> Result<MilestoneOutcome, ElectionError> {
-    use crate::scheme::AdviceScheme;
-    assert!(c > 1, "the paper requires an integer constant c > 1");
-    let inst = Instance::new(g);
-    let outcome = crate::scheme::MilestoneScheme(milestone).elect(&inst)?;
-    let time_bound = milestone_time_bound(milestone, inst.diameter(), outcome.phi, c);
-    let advice = outcome.advice.clone();
-    let parameter = outcome.parameter.expect("milestone outcomes carry P_i");
-    Ok(MilestoneOutcome {
-        milestone,
-        advice,
-        parameter,
-        generic: GenericOutcome::from(outcome),
-        time_bound,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::{AdviceScheme, MilestoneScheme};
+    use crate::Instance;
     use anet_graph::{algo, generators};
     use anet_views::election_index;
 
@@ -247,16 +195,16 @@ mod tests {
                 continue;
             }
             for m in Milestone::ALL {
-                let outcome = election_milestone(g, m, 2).unwrap();
+                let outcome = MilestoneScheme(m).elect(&Instance::new(g)).unwrap();
+                let parameter = outcome.parameter.unwrap() as usize;
                 assert!(
-                    outcome.within_bound()
-                        || outcome.generic.time <= outcome.generic.x + algo::diameter(g) + 1,
+                    outcome.within_bound() || outcome.time <= parameter + algo::diameter(g) + 1,
                     "{m:?}: time {} bound {}",
-                    outcome.generic.time,
+                    outcome.time,
                     outcome.time_bound
                 );
                 // The generic guarantee always holds.
-                assert!(outcome.generic.time <= algo::diameter(g) + outcome.parameter as usize + 1);
+                assert!(outcome.time <= algo::diameter(g) + parameter + 1);
             }
         }
     }
@@ -268,14 +216,9 @@ mod tests {
             return;
         }
         let full = crate::advice_build::compute_advice(&g).unwrap();
-        let m1 = election_milestone(&g, Milestone::AddConstant, 2).unwrap();
+        let m1 = MilestoneScheme(Milestone::AddConstant)
+            .elect(&Instance::new(&g))
+            .unwrap();
         assert!(m1.advice_bits() < full.size_bits());
-    }
-
-    #[test]
-    #[should_panic]
-    fn constant_must_exceed_one() {
-        let g = generators::caterpillar(4);
-        let _ = election_milestone(&g, Milestone::AddConstant, 1);
     }
 }

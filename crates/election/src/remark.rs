@@ -13,40 +13,29 @@
 //! This sits strictly between the two ends of the spectrum: time `D + φ`
 //! (instead of `D + φ + 1` for `Election1`) at the price of knowing `D`
 //! exactly. As with `Generic`, the node decisions are emulated on the view
-//! quotient (see the module documentation of [`crate::generic`]).
+//! quotient (see the module documentation of [`crate::generic`]). The
+//! [`Remark`](crate::Remark) scheme runs it on an [`Instance`]:
+//!
+//! ```
+//! use anet_election::{AdviceScheme, Instance, Remark};
+//! use anet_graph::{algo, generators};
+//! use anet_views::election_index;
+//!
+//! let g = generators::lollipop(5, 4);
+//! let outcome = Remark.elect(&Instance::new(&g)).unwrap();
+//! // Exactly D + φ rounds, with only O(log D + log φ) advice bits.
+//! let bound = algo::diameter(&g) + election_index(&g).unwrap();
+//! assert_eq!(outcome.time, bound);
+//! assert!(outcome.advice_bits() < 40);
+//! ```
 
 use anet_advice::{codec, BitString};
-use anet_graph::{Graph, NodeId, PortPath};
 
 use crate::error::ElectionError;
 use crate::instance::Instance;
 
-/// The outcome of the `D + φ` election.
-#[derive(Debug, Clone)]
-pub struct RemarkOutcome {
-    /// The elected leader (the node with the smallest depth-`φ` view).
-    pub leader: NodeId,
-    /// The number of rounds used — exactly `D + φ` for every node.
-    pub time: usize,
-    /// The advice handed to the nodes (`Concat(bin(D), bin(φ))`).
-    pub advice: BitString,
-    /// Per-node outputs.
-    pub outputs: Vec<PortPath>,
-}
-
-impl RemarkOutcome {
-    /// Size of the advice in bits (`O(log D + log φ)`).
-    pub fn advice_bits(&self) -> usize {
-        self.advice.len()
-    }
-}
-
-/// The oracle side: the advice `Concat(bin(D), bin(φ))`.
-pub fn remark_advice(g: &Graph) -> Result<BitString, ElectionError> {
-    remark_advice_on(&Instance::new(g))
-}
-
-/// [`remark_advice`] against an instance's cached `D` and `φ`.
+/// The oracle side: the advice `Concat(bin(D), bin(φ))` from an
+/// instance's cached `D` and `φ`.
 pub(crate) fn remark_advice_on(inst: &Instance) -> Result<BitString, ElectionError> {
     let phi = inst.phi()?;
     let d = inst.diameter();
@@ -75,36 +64,11 @@ pub fn decode_remark_advice(bits: &BitString) -> Result<(usize, usize), Election
     Ok((d, phi))
 }
 
-/// Runs the `D + φ` election on every node of `g` and verifies the outcome.
-///
-/// ```
-/// use anet_election::remark::remark_elect_all;
-/// use anet_graph::{algo, generators};
-/// use anet_views::election_index;
-///
-/// let g = generators::lollipop(5, 4);
-/// let outcome = remark_elect_all(&g).unwrap();
-/// // Exactly D + φ rounds, with only O(log D + log φ) advice bits.
-/// let bound = algo::diameter(&g) + election_index(&g).unwrap();
-/// assert_eq!(outcome.time, bound);
-/// assert!(outcome.advice_bits() < 40);
-/// ```
-pub fn remark_elect_all(g: &Graph) -> Result<RemarkOutcome, ElectionError> {
-    use crate::scheme::AdviceScheme;
-    let inst = Instance::new(g);
-    let o = crate::scheme::Remark.elect(&inst)?;
-    Ok(RemarkOutcome {
-        leader: o.leader,
-        time: o.time,
-        advice: o.advice,
-        outputs: o.outputs,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anet_graph::{algo, generators};
+    use crate::scheme::{AdviceScheme, Generic, Remark};
+    use anet_graph::{algo, generators, Graph};
     use anet_views::election_index;
 
     fn samples() -> Vec<Graph> {
@@ -123,7 +87,7 @@ mod tests {
     #[test]
     fn remark_election_succeeds_in_d_plus_phi_rounds() {
         for g in samples() {
-            let outcome = remark_elect_all(&g).unwrap();
+            let outcome = Remark.elect(&Instance::new(&g)).unwrap();
             let d = algo::diameter(&g);
             let phi = election_index(&g).unwrap();
             assert_eq!(outcome.time, d + phi);
@@ -137,7 +101,7 @@ mod tests {
     #[test]
     fn remark_advice_is_logarithmic() {
         for g in samples() {
-            let advice = remark_advice(&g).unwrap();
+            let advice = remark_advice_on(&Instance::new(&g)).unwrap();
             let d = algo::diameter(&g) as f64;
             let phi = election_index(&g).unwrap() as f64;
             // Concat doubles the bits and adds a 2-bit separator.
@@ -149,7 +113,7 @@ mod tests {
     #[test]
     fn remark_advice_roundtrips() {
         for g in samples() {
-            let advice = remark_advice(&g).unwrap();
+            let advice = remark_advice_on(&Instance::new(&g)).unwrap();
             let (d, phi) = decode_remark_advice(&advice).unwrap();
             assert_eq!(d, algo::diameter(&g));
             assert_eq!(phi, election_index(&g).unwrap());
@@ -162,8 +126,8 @@ mod tests {
         // view, so the leaders coincide.
         for g in samples() {
             let phi = election_index(&g).unwrap();
-            let a = remark_elect_all(&g).unwrap();
-            let b = crate::generic::generic_elect_all(&g, phi).unwrap();
+            let a = Remark.elect(&Instance::new(&g)).unwrap();
+            let b = Generic { x: phi }.elect(&Instance::new(&g)).unwrap();
             assert_eq!(a.leader, b.leader);
         }
     }
@@ -171,6 +135,6 @@ mod tests {
     #[test]
     fn malformed_remark_advice_is_rejected() {
         assert!(decode_remark_advice(&BitString::from_uint(5)).is_err());
-        assert!(remark_elect_all(&generators::ring(5)).is_err());
+        assert!(Remark.elect(&Instance::new(&generators::ring(5))).is_err());
     }
 }

@@ -54,10 +54,9 @@ use crate::milestones::{milestone_advice, milestone_parameter, milestone_time_bo
 use crate::remark::{decode_remark_advice, remark_advice_on};
 use crate::verify::verify_election;
 
-/// The unified result of running any [`AdviceScheme`] on an [`Instance`] —
-/// the common denominator of the former per-algorithm outcome structs
-/// (`ElectionOutcome`, `GenericOutcome`, `MilestoneOutcome`,
-/// `RemarkOutcome`, all of which convert from it).
+/// The result of running any [`AdviceScheme`] on an [`Instance`]: the one
+/// time/advice record of every algorithm family, with the fields only some
+/// families fill left `None`.
 #[derive(Debug, Clone)]
 pub struct Outcome {
     /// Name of the scheme that produced this outcome.
@@ -205,7 +204,8 @@ impl AdviceScheme for Generic {
     fn run(&self, inst: &Instance, advice: &BitString) -> Result<Outcome, ElectionError> {
         let x = advice.to_uint().ok_or_else(|| {
             ElectionError::MalformedAdvice("generic advice is not an integer".into())
-        })? as usize;
+        })?;
+        let (x, time_bound) = generic_time_bound(inst, x)?;
         let g = inst.graph();
         let (halt_rounds, outputs) = generic::run_on_instance(inst, x);
         let leader = verify_election(g, &outputs)?;
@@ -221,12 +221,12 @@ impl AdviceScheme for Generic {
             halt_rounds,
             stats: None,
             distinct_views: None,
-            time_bound: inst.diameter() + x + 1,
+            time_bound,
         })
     }
 
     fn time_bound(&self, inst: &Instance) -> Result<usize, ElectionError> {
-        Ok(inst.diameter() + self.x + 1)
+        generic_time_bound(inst, self.x as u64).map(|(_, bound)| bound)
     }
 
     fn advice_bound(&self, _inst: &Instance) -> Result<usize, ElectionError> {
@@ -234,12 +234,25 @@ impl AdviceScheme for Generic {
     }
 }
 
+/// The parameter `x` of a `Generic(x)` run as a round count, with Lemma
+/// 4.1's time bound `D + x + 1`. The parameter comes from untrusted advice:
+/// one whose bound does not fit in a `usize` is refused as
+/// [`ElectionError::MalformedAdvice`], so no halting round
+/// `x + ecc(u) + 1 <= D + x + 1` can overflow.
+fn generic_time_bound(inst: &Instance, x: u64) -> Result<(usize, usize), ElectionError> {
+    usize::try_from(x)
+        .ok()
+        .and_then(|x| Some((x, inst.diameter().checked_add(x)?.checked_add(1)?)))
+        .ok_or_else(|| {
+            ElectionError::MalformedAdvice(format!("D + {x} + 1 rounds do not fit in a usize"))
+        })
+}
+
 /// Section 4: `Election1..4` (Algorithm 8, Theorem 4.1) — a
 /// [`Milestone`]'s advice (from `bin(φ)` down to `bin(log* φ)`) is decoded
 /// into a parameter `P_i >= φ` and handed to `Generic(P_i)`. The theorem
 /// constant is fixed at [`MilestoneScheme::C`]` = 2`, the smallest value it
-/// admits (the legacy `election_milestone` entry point restates the bound
-/// for other constants).
+/// admits ([`milestone_time_bound`] states the bound for other constants).
 #[derive(Debug, Clone, Copy)]
 pub struct MilestoneScheme(pub Milestone);
 
@@ -267,8 +280,8 @@ impl AdviceScheme for MilestoneScheme {
                 "milestone parameter {parameter} does not dominate φ = {phi}"
             )));
         }
+        let (x, _) = generic_time_bound(inst, parameter)?;
         let g = inst.graph();
-        let x = parameter as usize;
         let (halt_rounds, outputs) = generic::run_on_instance(inst, x);
         let leader = verify_election(g, &outputs)?;
         let time = halt_rounds.iter().copied().max().unwrap_or(0);
@@ -319,10 +332,27 @@ impl AdviceScheme for Remark {
         let (d, phi) = decode_remark_advice(advice)?;
         let g = inst.graph();
         // After D + φ rounds each node knows B^{D+φ}(u); the nodes at
-        // distance <= D in it are the whole graph (the decoded D dominates
-        // every eccentricity), and their depth-φ views are visible, so
+        // distance <= D in it are the whole graph when the decoded D
+        // dominates every eccentricity, and their depth-φ views are all
+        // distinct when the decoded φ dominates the election index, so
         // every node routes to the unique globally-smallest depth-φ view.
-        debug_assert!(inst.eccentricities().iter().all(|&e| e <= d));
+        // The advice is untrusted input: anything else was not produced by
+        // the oracle for this graph.
+        if d < inst.diameter() {
+            return Err(ElectionError::MalformedAdvice(format!(
+                "remark diameter {d} is below the diameter {}",
+                inst.diameter()
+            )));
+        }
+        let true_phi = inst.phi()?;
+        if phi < true_phi {
+            return Err(ElectionError::MalformedAdvice(format!(
+                "remark election index {phi} does not dominate φ = {true_phi}"
+            )));
+        }
+        let time = d.checked_add(phi).ok_or_else(|| {
+            ElectionError::MalformedAdvice(format!("D + φ = {d} + {phi} rounds do not fit"))
+        })?;
         let row = inst.class_row(phi);
         let w = row
             .iter()
@@ -336,19 +366,18 @@ impl AdviceScheme for Remark {
             .map(|u| generic::lex_smallest_shortest_path_via(g, &dist_to_w, u))
             .collect();
         let leader = verify_election(g, &outputs)?;
-        let time = d + phi;
         Ok(Outcome {
             scheme: self.name(),
             leader,
             time,
-            phi: inst.phi()?,
+            phi: true_phi,
             advice: advice.clone(),
             parameter: None,
             halt_rounds: vec![time; g.num_nodes()],
             outputs,
             stats: None,
             distinct_views: None,
-            time_bound: inst.diameter() + inst.phi()?,
+            time_bound: inst.diameter() + true_phi,
         })
     }
 
@@ -378,7 +407,7 @@ pub fn scheme_suite(phi: usize) -> Vec<Box<dyn AdviceScheme>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{elect_all, election_milestone, generic_elect_all, remark_elect_all};
+    use anet_advice::codec;
     use anet_graph::generators;
     use anet_graph::Graph;
     use anet_views::election_index;
@@ -445,44 +474,44 @@ mod tests {
 
     #[test]
     fn schemes_match_their_legacy_free_functions() {
-        // The compatibility wrappers are thin, but a *shared warm* instance
-        // must behave identically to the fresh per-call instances the
-        // wrappers build: cache reuse may never change a result.
+        // A *shared warm* instance must behave identically to a fresh
+        // instance per run: cache reuse may never change a result.
         for g in feasible_samples() {
             let inst = Instance::new(&g);
             let phi = inst.phi().unwrap();
+            let fresh = |scheme: &dyn AdviceScheme| scheme.elect(&Instance::new(&g)).unwrap();
 
             let mt = MinTime.elect(&inst).unwrap();
-            let legacy = elect_all(&g).unwrap();
-            assert_eq!(mt.leader, legacy.leader);
-            assert_eq!(mt.time, legacy.time);
-            assert_eq!(mt.advice_bits(), legacy.advice_bits);
+            let cold = fresh(&MinTime);
+            assert_eq!(mt.leader, cold.leader);
+            assert_eq!(mt.time, cold.time);
+            assert_eq!(mt.advice_bits(), cold.advice_bits());
 
             for x in [phi, phi + 2] {
                 let gn = Generic { x }.elect(&inst).unwrap();
-                let legacy = generic_elect_all(&g, x).unwrap();
-                assert_eq!(gn.leader, legacy.leader);
-                assert_eq!(gn.time, legacy.time);
-                assert_eq!(gn.halt_rounds, legacy.halt_rounds);
-                assert_eq!(gn.outputs, legacy.outputs);
+                let cold = fresh(&Generic { x });
+                assert_eq!(gn.leader, cold.leader);
+                assert_eq!(gn.time, cold.time);
+                assert_eq!(gn.halt_rounds, cold.halt_rounds);
+                assert_eq!(gn.outputs, cold.outputs);
             }
 
             for m in Milestone::ALL {
                 let ms = MilestoneScheme(m).elect(&inst).unwrap();
-                let legacy = election_milestone(&g, m, MilestoneScheme::C).unwrap();
-                assert_eq!(ms.advice, legacy.advice);
-                assert_eq!(ms.parameter.unwrap(), legacy.parameter);
-                assert_eq!(ms.leader, legacy.generic.leader);
-                assert_eq!(ms.time, legacy.generic.time);
-                assert_eq!(ms.time_bound, legacy.time_bound);
+                let cold = fresh(&MilestoneScheme(m));
+                assert_eq!(ms.advice, cold.advice);
+                assert_eq!(ms.parameter, cold.parameter);
+                assert_eq!(ms.leader, cold.leader);
+                assert_eq!(ms.time, cold.time);
+                assert_eq!(ms.time_bound, cold.time_bound);
             }
 
             let rm = Remark.elect(&inst).unwrap();
-            let legacy = remark_elect_all(&g).unwrap();
-            assert_eq!(rm.advice, legacy.advice);
-            assert_eq!(rm.leader, legacy.leader);
-            assert_eq!(rm.time, legacy.time);
-            assert_eq!(rm.outputs, legacy.outputs);
+            let cold = fresh(&Remark);
+            assert_eq!(rm.advice, cold.advice);
+            assert_eq!(rm.leader, cold.leader);
+            assert_eq!(rm.time, cold.time);
+            assert_eq!(rm.outputs, cold.outputs);
         }
     }
 
@@ -502,6 +531,145 @@ mod tests {
             assert_eq!(oa.time, ob.time, "{}", scheme.name());
             assert_eq!(oa.outputs, ob.outputs, "{}", scheme.name());
         }
+    }
+
+    fn is_malformed(result: Result<Outcome, ElectionError>) -> bool {
+        matches!(result, Err(ElectionError::MalformedAdvice(_)))
+    }
+
+    #[test]
+    fn generic_parameters_past_a_usize_round_count_are_refused() {
+        // lollipop(6, 4) has diameter 5, so Generic(x) halts after x + 6
+        // rounds whenever that fits, and is refused when D + x + 1 wraps.
+        let g = generators::lollipop(6, 4);
+        let inst = Instance::new(&g);
+        for x in [u64::MAX, 18_446_744_073_709_551_610] {
+            assert!(
+                is_malformed(Generic { x: 0 }.run(&inst, &BitString::from_uint(x))),
+                "x = {x}"
+            );
+        }
+        let x = 1usize << 40;
+        let outcome = Generic { x }.elect(&inst).unwrap();
+        assert_eq!(outcome.time, x + 6);
+        assert_eq!(outcome.time_bound, x + 6);
+        assert_eq!(Generic { x: usize::MAX }.time_bound(&inst).ok(), None);
+    }
+
+    #[test]
+    fn milestone_parameters_past_64_bits_are_refused() {
+        let g = generators::lollipop(6, 4);
+        let inst = Instance::new(&g);
+        for m in [Milestone::LinearFactor, Milestone::Polynomial] {
+            for a in [63, 64, u64::MAX] {
+                let run = MilestoneScheme(m).run(&inst, &BitString::from_uint(a));
+                assert!(is_malformed(run), "{m:?} with advice {a}");
+            }
+        }
+        // log* φ = 5 for every φ > 65536, and tower(5) = 2^65536.
+        let run = MilestoneScheme(Milestone::Exponential).run(&inst, &BitString::from_uint(5));
+        assert!(is_malformed(run));
+        // The largest parameters that fit are still reconstructed exactly.
+        for (m, a, p) in [
+            (Milestone::LinearFactor, 63, u64::MAX),
+            (Milestone::Polynomial, 5, u64::MAX),
+            (Milestone::Exponential, 4, 65536),
+        ] {
+            assert_eq!(milestone_parameter(m, &BitString::from_uint(a)), Ok(p));
+        }
+    }
+
+    #[test]
+    fn remark_advice_below_the_instance_or_past_a_round_count_is_refused() {
+        let g = generators::lollipop(6, 4);
+        let inst = Instance::new(&g);
+        let (d, phi) = (inst.diameter() as u64, inst.phi().unwrap() as u64);
+        let remark = |d: u64, phi: u64| {
+            let advice = codec::concat(&[BitString::from_uint(d), BitString::from_uint(phi)]);
+            Remark.run(&inst, &advice)
+        };
+        assert!(is_malformed(remark(d - 1, phi)), "D below the diameter");
+        assert!(
+            is_malformed(remark(d, phi - 1)),
+            "φ below the election index"
+        );
+        assert!(is_malformed(remark(u64::MAX, phi)), "D + φ wraps");
+        assert_eq!(remark(d, phi).unwrap().time, (d + phi) as usize);
+    }
+
+    #[test]
+    fn mutated_section_4_advice_is_refused_or_elects_but_never_panics() {
+        // Seeded bit flips, truncations, random extensions and splices of
+        // honest Section-4 advice, plus the integers at the edges of the
+        // parameter arithmetic, run through every Section-4 scheme on
+        // every sample. A mutant must elect (run verifies the election) or
+        // be refused with a typed error; for the remark the integers and
+        // half the mutations go into one of its two items.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let edges: Vec<BitString> = [0, 1, 62, 63, 64, u64::MAX]
+            .into_iter()
+            .map(BitString::from_uint)
+            .collect();
+        let sessions: Vec<Instance> = feasible_samples().iter().map(Instance::new).collect();
+        let cases: Vec<_> = sessions
+            .iter()
+            .flat_map(|inst| {
+                let phi = inst.phi().unwrap();
+                scheme_suite(phi).into_iter().skip(1).map(move |scheme| {
+                    let advice = scheme.advice(inst).unwrap();
+                    (inst, scheme, advice)
+                })
+            })
+            .collect();
+        let donors: Vec<Vec<bool>> = cases
+            .iter()
+            .map(|(_, _, advice)| advice.iter().collect())
+            .collect();
+        let mut rng = StdRng::seed_from_u64(41);
+        let (mut elected, mut refused) = (0, 0);
+        for round in 0..3000 {
+            let (inst, scheme, honest) = &cases[rng.gen_range(0..cases.len())];
+            let mut parts = match scheme.name().as_str() {
+                "remark" if rng.gen_bool(0.5) => codec::decode(honest).unwrap(),
+                _ => vec![honest.clone()],
+            };
+            let at = rng.gen_range(0..parts.len());
+            let mut raw: Vec<bool> = parts[at].iter().collect();
+            let cut = rng.gen_range(0..raw.len() + 1);
+            match round % 5 {
+                0 if cut < raw.len() => raw[cut] = !raw[cut],
+                1 => raw.truncate(cut),
+                2 => raw.extend((0..rng.gen_range(1..70usize)).map(|_| rng.gen_bool(0.5))),
+                3 => {
+                    let donor = &donors[rng.gen_range(0..donors.len())];
+                    let end = rng.gen_range(cut..raw.len() + 1);
+                    let from = rng.gen_range(0..donor.len());
+                    let to = rng.gen_range(from..donor.len() + 1);
+                    raw.splice(cut..end, donor[from..to].iter().copied());
+                }
+                _ => raw = edges[rng.gen_range(0..edges.len())].iter().collect(),
+            }
+            parts[at] = BitString::from_bits(&raw);
+            let mutant = match parts.len() {
+                1 => parts.remove(0),
+                _ => codec::concat(&parts),
+            };
+            match scheme.run(inst, &mutant) {
+                Ok(outcome) => {
+                    assert_eq!(
+                        verify_election(inst.graph(), &outcome.outputs),
+                        Ok(outcome.leader),
+                        "{}",
+                        scheme.name()
+                    );
+                    elected += 1;
+                }
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(elected > 600, "only {elected} mutants elected");
+        assert!(refused > 600, "only {refused} mutants were refused");
     }
 
     #[test]

@@ -134,6 +134,29 @@ fn bad_graphs_and_degenerate_parameters_are_refused() {
 }
 
 #[test]
+fn generic_parameters_past_a_round_count_get_a_typed_error() {
+    // lollipop(6,4) has diameter 5: Generic(x) needs D + x + 1 rounds,
+    // which wraps for both parameters below and fits for 2^40.
+    let input = "{\"id\":\"max\",\"workload\":\"lollipop(6,4)\",\
+                   \"scheme\":\"generic(x=18446744073709551615)\"}\n\
+                 {\"id\":\"near\",\"workload\":\"lollipop(6,4)\",\
+                   \"scheme\":\"generic(x=18446744073709551610)\"}\n\
+                 {\"id\":\"fits\",\"workload\":\"lollipop(6,4)\",\
+                   \"scheme\":\"generic(x=1099511627776)\"}\n";
+    let responses = roundtrip(input, 1 << 16);
+    assert_eq!(responses.len(), 3);
+    for resp in &responses[..2] {
+        assert!(resp.contains("\"ok\":false"), "{resp}");
+        assert!(resp.contains("\"error\":\"election\""), "{resp}");
+    }
+    assert!(
+        responses[2].contains("\"time\":1099511627782"),
+        "{}",
+        responses[2]
+    );
+}
+
+#[test]
 fn infeasible_graphs_are_refused_with_the_evidence() {
     // A 6-ring: one view class, election infeasible by symmetry.
     let responses = roundtrip(

@@ -1,12 +1,14 @@
-//! The adversarial round engine.
+//! The round engine.
 //!
-//! [`AdvRunner`] generalizes [`SyncRunner`](crate::SyncRunner): each round
-//! it consults a [`FaultPlan`] for crash/recover events, per-port message
-//! drops, edge churn (through a [`DynamicGraph`] view) and phase skew, and
-//! otherwise executes the same three synchronous phases. Under
-//! [`FaultPlan::none`] its transcript is bit-identical to the sequential
-//! engine's (stats, outputs, halt rounds — property-tested), so everything
-//! certified about the clean engines transfers.
+//! [`AdvRunner`] executes the synchronous LOCAL model in three phases per
+//! round (send, route, receive) under a [`FaultPlan`]: each round it
+//! consults the plan for crash/recover events, per-port message drops,
+//! edge churn (through a [`DynamicGraph`] view) and phase skew. Under
+//! [`FaultPlan::none`] it is the paper's clean synchronous model, and every
+//! clean run in the workspace goes through it: the `COM` exchange, the
+//! minimum-time election and the threaded runs. Its transcript (stats,
+//! outputs, halt rounds) is pinned to a plain three-phase reference loop
+//! by this module's tests, at every thread count and under phase skew.
 //!
 //! Fault semantics:
 //!
@@ -41,7 +43,7 @@ use crate::error::SimError;
 use crate::fault::{CrashSemantics, FaultPlan};
 use crate::runner::{NodeAlgorithm, RunOutcome, RunStats};
 
-/// The fault-injecting executor of the synchronous LOCAL model.
+/// The executor of the synchronous LOCAL model under a fault plan.
 pub struct AdvRunner<'g> {
     graph: &'g Graph,
     max_rounds: usize,
@@ -49,8 +51,9 @@ pub struct AdvRunner<'g> {
 }
 
 impl<'g> AdvRunner<'g> {
-    /// Creates a sequential adversarial runner over `graph`, aborting after
-    /// `max_rounds` rounds.
+    /// Creates a sequential runner over `graph` that aborts after
+    /// `max_rounds` rounds (a safety net against non-terminating node
+    /// algorithms).
     pub fn new(graph: &'g Graph, max_rounds: usize) -> Self {
         AdvRunner {
             graph,
@@ -69,16 +72,17 @@ impl<'g> AdvRunner<'g> {
         }
     }
 
-    /// The graph being simulated.
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
     /// Runs one node algorithm instance per node under the adversary
-    /// `plan`. The factory receives a dense slot index (the node id, which
-    /// is harness bookkeeping — not information leaked to the algorithm)
-    /// and the node's degree; it is re-invoked when a crashed node recovers
-    /// under restart semantics.
+    /// `plan` until every node halts or `max_rounds` is reached. The
+    /// factory receives a dense slot index (the node id, which is harness
+    /// bookkeeping — not information leaked to the algorithm) and the
+    /// node's degree; it is re-invoked when a crashed node recovers under
+    /// restart semantics.
+    ///
+    /// Errors with [`SimError::BadSendArity`] if a node's `send` violates
+    /// the one-entry-per-port contract; reaching `max_rounds` with unhalted
+    /// nodes is *not* an error (the returned outcome reports it via
+    /// [`RunOutcome::all_halted`]).
     pub fn run<A, F>(&self, plan: &FaultPlan, mut factory: F) -> Result<RunOutcome, SimError>
     where
         A: NodeAlgorithm + Send,
@@ -88,6 +92,7 @@ impl<'g> AdvRunner<'g> {
         let g = self.graph;
         let n = g.num_nodes();
         let dynamic = DynamicGraph::new(g, plan);
+        let lossy = plan.drops.is_some() || plan.churn.is_some();
         let mut nodes: Vec<Option<A>> = (0..n)
             .map(|v| {
                 let mut a = factory(v, g.degree(v));
@@ -161,7 +166,10 @@ impl<'g> AdvRunner<'g> {
 
             // Phase 2: routing, filtered by the adversary (sequential, in
             // node order, so stats and first-offender errors are
-            // deterministic regardless of skew and thread count).
+            // deterministic regardless of skew and thread count). A plan
+            // without drops or churn loses messages only to crashed
+            // receivers, so its routing skips the per-message edge and drop
+            // checks.
             let mut incoming: Vec<Vec<Option<A::Message>>> =
                 (0..n).map(|v| vec![None; g.degree(v)]).collect();
             for (v, slot) in outgoing.iter_mut().enumerate() {
@@ -173,17 +181,13 @@ impl<'g> AdvRunner<'g> {
                         want: g.degree(v),
                     });
                 }
-                for (p, msg) in msgs.into_iter().enumerate() {
+                for ((p, u, q), msg) in g.ports(v).zip(msgs) {
                     let Some(msg) = msg else { continue };
-                    let (u, q) = g.neighbor(v, p);
                     if nodes[u].is_none() {
                         continue; // receiver crashed: message lost
                     }
-                    if !dynamic.edge_up(round, v, p) {
-                        continue; // edge churned away for this round
-                    }
-                    if plan.drops_message(round, v, p) {
-                        continue; // adversarial drop
+                    if lossy && (!dynamic.edge_up(round, v, p) || plan.drops_message(round, v, p)) {
+                        continue; // edge churned away, or an adversarial drop
                     }
                     stats.messages += 1;
                     stats.message_words += A::message_size_words(&msg);
@@ -256,21 +260,82 @@ mod tests {
     use super::*;
     use crate::com::{ComNode, SharedViewArena};
     use crate::fault::CrashEvent;
-    use crate::runner::SyncRunner;
     use anet_graph::generators;
     use anet_views::{AugmentedView, ShardedViewArena, ViewId};
     use parking_lot::Mutex;
     use std::sync::Arc;
 
-    fn com_outcome_sync(g: &anet_graph::Graph, depth: usize) -> RunOutcome {
+    /// The plain synchronous model as three phases per round — every active
+    /// node sends, messages follow the edges, every active node receives —
+    /// with no fault, skew or thread handling: the reference transcript the
+    /// engine must reproduce under [`FaultPlan::none`].
+    fn reference_run<A: NodeAlgorithm>(
+        g: &Graph,
+        max_rounds: usize,
+        mut factory: impl FnMut(usize) -> A,
+    ) -> RunOutcome {
+        let n = g.num_nodes();
+        let mut nodes: Vec<A> = g
+            .nodes()
+            .map(|v| {
+                let mut a = factory(g.degree(v));
+                a.init(g.degree(v));
+                a
+            })
+            .collect();
+        let mut outputs: Vec<Option<PortPath>> = vec![None; n];
+        let mut halt_round: Vec<Option<usize>> = vec![None; n];
+        let mut stats = RunStats::default();
+        for round in 0..max_rounds {
+            if outputs.iter().all(Option::is_some) {
+                break;
+            }
+            stats.rounds += 1;
+            let mut outgoing: Vec<Vec<Option<A::Message>>> = Vec::with_capacity(n);
+            for (v, node) in nodes.iter_mut().enumerate() {
+                if outputs[v].is_some() {
+                    outgoing.push(vec![None; g.degree(v)]);
+                } else {
+                    outgoing.push(node.send(round));
+                }
+            }
+            let mut incoming: Vec<Vec<Option<A::Message>>> =
+                (0..n).map(|v| vec![None; g.degree(v)]).collect();
+            for (v, out) in outgoing.iter_mut().enumerate() {
+                for (p, u, q) in g.ports(v) {
+                    if let Some(msg) = out[p].take() {
+                        stats.messages += 1;
+                        stats.message_words += A::message_size_words(&msg);
+                        incoming[u][q] = Some(msg);
+                    }
+                }
+            }
+            for (v, node) in nodes.iter_mut().enumerate() {
+                if outputs[v].is_some() {
+                    continue;
+                }
+                if let Some(path) = node.receive(round, std::mem::take(&mut incoming[v])) {
+                    outputs[v] = Some(path);
+                    halt_round[v] = Some(round);
+                }
+            }
+        }
+        RunOutcome {
+            outputs,
+            halt_round,
+            stats,
+        }
+    }
+
+    fn com_outcome_reference(g: &Graph, depth: usize) -> RunOutcome {
         let arena: SharedViewArena = Arc::new(ShardedViewArena::new());
-        SyncRunner::new(g, depth + 1)
-            .run(|_| ComNode::new(Arc::clone(&arena), depth, |_a, _v| PortPath::empty()))
-            .unwrap()
+        reference_run(g, depth + 1, |_| {
+            ComNode::new(Arc::clone(&arena), depth, |_a, _v| PortPath::empty())
+        })
     }
 
     fn com_outcome_adv(
-        g: &anet_graph::Graph,
+        g: &Graph,
         depth: usize,
         max_rounds: usize,
         plan: &FaultPlan,
@@ -293,12 +358,12 @@ mod tests {
         ];
         for g in &graphs {
             let depth = 3;
-            let sync = com_outcome_sync(g, depth);
+            let reference = com_outcome_reference(g, depth);
             for threads in [1, 2, 4] {
                 let adv = com_outcome_adv(g, depth, depth + 1, &FaultPlan::none(), threads);
-                assert_eq!(sync.outputs, adv.outputs);
-                assert_eq!(sync.halt_round, adv.halt_round);
-                assert_eq!(sync.stats, adv.stats);
+                assert_eq!(reference.outputs, adv.outputs);
+                assert_eq!(reference.halt_round, adv.halt_round);
+                assert_eq!(reference.stats, adv.stats);
             }
         }
     }
@@ -338,12 +403,12 @@ mod tests {
     fn phase_skew_is_observationally_invisible() {
         let g = generators::torus(3, 4);
         let depth = 3;
-        let sync = com_outcome_sync(&g, depth);
+        let reference = com_outcome_reference(&g, depth);
         for seed in [1u64, 99, 4242] {
             let skew = com_outcome_adv(&g, depth, depth + 1, &FaultPlan::phase_skew(seed), 1);
-            assert_eq!(sync.outputs, skew.outputs);
-            assert_eq!(sync.halt_round, skew.halt_round);
-            assert_eq!(sync.stats, skew.stats);
+            assert_eq!(reference.outputs, skew.outputs);
+            assert_eq!(reference.halt_round, skew.halt_round);
+            assert_eq!(reference.stats, skew.stats);
         }
     }
 

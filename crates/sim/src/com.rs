@@ -44,7 +44,7 @@
 //! Because the shared arena is mutex-*striped* (16 independent shards keyed
 //! by the structural hash) rather than a single mutex, concurrent
 //! [`ComNode::receive`](crate::runner::NodeAlgorithm::receive) calls from
-//! a multi-threaded [`AdvRunner`](crate::AdvRunner) intern in parallel with
+//! a multi-threaded [`AdvRunner`] intern in parallel with
 //! low contention. Interleaving can change the *numeric* ids a run mints, but
 //! never which records exist — every structural observable (materialized
 //! views, class partitions, election outputs) is schedule-independent,
@@ -82,8 +82,10 @@ use anet_graph::{Graph, PortPath};
 use anet_views::{AugmentedView, ShardedViewArena, ViewId};
 use parking_lot::Mutex;
 
+use crate::adv::AdvRunner;
 use crate::error::SimError;
-use crate::runner::{NodeAlgorithm, SyncRunner};
+use crate::fault::FaultPlan;
+use crate::runner::NodeAlgorithm;
 
 /// The view arena shared by all node instances of one `COM` run. The arena
 /// is internally striped, so node instances intern through a plain `Arc` —
@@ -169,7 +171,7 @@ where
             return vec![None; self.degree];
         }
         let Some(view) = self.current_view() else {
-            // Unreachable through the runners (init always precedes send);
+            // Unreachable through the runner (init always precedes send);
             // a well-formed all-silent round keeps the engine contract.
             return vec![None; self.degree];
         };
@@ -241,8 +243,7 @@ pub fn exchange_view_ids(
     let arena: SharedViewArena = Arc::new(ShardedViewArena::new());
     let collected: Arc<Mutex<Vec<Option<ViewId>>>> =
         Arc::new(Mutex::new(vec![None; g.num_nodes()]));
-    let runner = SyncRunner::new(g, depth + 1);
-    runner.run_indexed(|slot, _degree| {
+    AdvRunner::new(g, depth + 1).run(&FaultPlan::none(), |slot, _degree| {
         let collected = Arc::clone(&collected);
         ComNode::new(Arc::clone(&arena), depth, move |_arena, chain| {
             collected.lock()[slot] = chain.last().copied();
@@ -399,8 +400,7 @@ where
 pub fn exchange_views_tree(g: &Graph, depth: usize) -> Result<Vec<AugmentedView>, SimError> {
     let collected: Arc<Mutex<Vec<Option<AugmentedView>>>> =
         Arc::new(Mutex::new(vec![None; g.num_nodes()]));
-    let runner = SyncRunner::new(g, depth + 1);
-    runner.run_indexed(|slot, _degree| {
+    AdvRunner::new(g, depth + 1).run(&FaultPlan::none(), |slot, _degree| {
         let collected = Arc::clone(&collected);
         TreeComNode::new(depth, move |view: &AugmentedView| {
             collected.lock()[slot] = Some(view.clone());
@@ -461,10 +461,11 @@ mod tests {
     #[test]
     fn exchange_views_depth_equals_rounds_used() {
         let g = generators::ring(6);
-        let runner = SyncRunner::new(&g, 10);
         let arena: SharedViewArena = Arc::new(ShardedViewArena::new());
-        let outcome = runner
-            .run(|_| ComNode::new(Arc::clone(&arena), 3, |_arena, _v| PortPath::empty()))
+        let outcome = AdvRunner::new(&g, 10)
+            .run(&FaultPlan::none(), |_, _| {
+                ComNode::new(Arc::clone(&arena), 3, |_arena, _v| PortPath::empty())
+            })
             .unwrap();
         assert!(outcome.all_halted());
         assert_eq!(outcome.election_time(), Some(3));
@@ -474,13 +475,17 @@ mod tests {
     fn arena_messages_are_constant_size_while_tree_messages_grow() {
         let g = generators::clique(5);
         let depth = 3;
-        let runner = SyncRunner::new(&g, depth + 1);
+        let runner = AdvRunner::new(&g, depth + 1);
         let arena: SharedViewArena = Arc::new(ShardedViewArena::new());
         let flat = runner
-            .run(|_| ComNode::new(Arc::clone(&arena), depth, |_a, _v| PortPath::empty()))
+            .run(&FaultPlan::none(), |_, _| {
+                ComNode::new(Arc::clone(&arena), depth, |_a, _v| PortPath::empty())
+            })
             .unwrap();
         let tree = runner
-            .run(|_| TreeComNode::new(depth, |_v| PortPath::empty()))
+            .run(&FaultPlan::none(), |_, _| {
+                TreeComNode::new(depth, |_v| PortPath::empty())
+            })
             .unwrap();
         assert_eq!(flat.stats.messages, tree.stats.messages);
         // Arena messages: exactly 2 words each.

@@ -1,8 +1,8 @@
-//! The synchronous round engine.
+//! What a run executes and what it reports: the [`NodeAlgorithm`] contract
+//! and the [`RunOutcome`] record of the round engine,
+//! [`AdvRunner`](crate::AdvRunner).
 
-use anet_graph::{Graph, NodeId, PortPath};
-
-use crate::error::SimError;
+use anet_graph::PortPath;
 
 /// A node-local deterministic algorithm executed by the simulator.
 ///
@@ -82,138 +82,12 @@ impl RunOutcome {
             .map(|r| r.map(|r| r + 1).unwrap_or(0))
             .max()
     }
-
-    /// The per-node `(start, path)` pairs for outcome verification.
-    pub fn outputs_with_starts(&self) -> Vec<(NodeId, PortPath)> {
-        self.outputs
-            .iter()
-            .enumerate()
-            .filter_map(|(v, o)| o.clone().map(|p| (v, p)))
-            .collect()
-    }
-}
-
-/// The deterministic sequential executor of the synchronous LOCAL model.
-pub struct SyncRunner<'g> {
-    graph: &'g Graph,
-    max_rounds: usize,
-}
-
-impl<'g> SyncRunner<'g> {
-    /// Creates a runner over `graph` that aborts after `max_rounds` rounds
-    /// (a safety net against non-terminating node algorithms).
-    pub fn new(graph: &'g Graph, max_rounds: usize) -> Self {
-        SyncRunner { graph, max_rounds }
-    }
-
-    /// The graph being simulated.
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    /// Like [`run`](Self::run), but additionally hands the factory a dense
-    /// slot index (instances are created in node-id order), so callers that
-    /// collect per-node results into a shared vector do not each need an
-    /// external counter. The slot index is harness bookkeeping for
-    /// depositing outputs — it is *not* information available to the node
-    /// algorithm, which still only sees its degree.
-    pub fn run_indexed<A, F>(&self, mut factory: F) -> Result<RunOutcome, SimError>
-    where
-        A: NodeAlgorithm,
-        F: FnMut(usize, usize) -> A,
-    {
-        let mut slot = 0usize;
-        self.run(|degree| {
-            let node = factory(slot, degree);
-            slot += 1;
-            node
-        })
-    }
-
-    /// Runs one node algorithm instance per node, created by `factory`
-    /// (which receives the node's degree, *not* its identity), until every
-    /// node halts or `max_rounds` is reached.
-    ///
-    /// Errors with [`SimError::BadSendArity`] if a node's `send` violates
-    /// the one-entry-per-port contract; reaching `max_rounds` with unhalted
-    /// nodes is *not* an error (the returned outcome reports it via
-    /// [`RunOutcome::all_halted`]).
-    pub fn run<A, F>(&self, mut factory: F) -> Result<RunOutcome, SimError>
-    where
-        A: NodeAlgorithm,
-        F: FnMut(usize) -> A,
-    {
-        let g = self.graph;
-        let n = g.num_nodes();
-        let mut nodes: Vec<A> = (0..n)
-            .map(|v| {
-                let mut a = factory(g.degree(v));
-                a.init(g.degree(v));
-                a
-            })
-            .collect();
-        let mut outputs: Vec<Option<PortPath>> = vec![None; n];
-        let mut halt_round: Vec<Option<usize>> = vec![None; n];
-        let mut stats = RunStats::default();
-
-        for round in 0..self.max_rounds {
-            if outputs.iter().all(Option::is_some) {
-                break;
-            }
-            stats.rounds += 1;
-            // Phase 1: all active nodes produce their outgoing messages.
-            let mut outgoing: Vec<Vec<Option<A::Message>>> = Vec::with_capacity(n);
-            for (v, node) in nodes.iter_mut().enumerate() {
-                if outputs[v].is_some() {
-                    outgoing.push(vec![None; g.degree(v)]);
-                    continue;
-                }
-                let msgs = node.send(round);
-                if msgs.len() != g.degree(v) {
-                    return Err(SimError::BadSendArity {
-                        node: v,
-                        got: msgs.len(),
-                        want: g.degree(v),
-                    });
-                }
-                outgoing.push(msgs);
-            }
-            // Phase 2: route messages along edges.
-            let mut incoming: Vec<Vec<Option<A::Message>>> =
-                (0..n).map(|v| vec![None; g.degree(v)]).collect();
-            for (v, out) in outgoing.iter_mut().enumerate() {
-                for (p, u, q) in g.ports(v) {
-                    if let Some(msg) = out[p].take() {
-                        stats.messages += 1;
-                        stats.message_words += A::message_size_words(&msg);
-                        incoming[u][q] = Some(msg);
-                    }
-                }
-            }
-            // Phase 3: all active nodes receive and may halt.
-            for (v, node) in nodes.iter_mut().enumerate() {
-                if outputs[v].is_some() {
-                    continue;
-                }
-                let inbox = std::mem::take(&mut incoming[v]);
-                if let Some(path) = node.receive(round, inbox) {
-                    outputs[v] = Some(path);
-                    halt_round[v] = Some(round);
-                }
-            }
-        }
-
-        Ok(RunOutcome {
-            outputs,
-            halt_round,
-            stats,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AdvRunner, FaultPlan, SimError};
     use anet_graph::generators;
 
     /// A toy algorithm: flood a counter for `target` rounds, then output the
@@ -248,9 +122,8 @@ mod tests {
     #[test]
     fn all_nodes_halt_after_target_rounds() {
         let g = generators::ring(6);
-        let runner = SyncRunner::new(&g, 100);
-        let outcome = runner
-            .run(|_deg| CountDown {
+        let outcome = AdvRunner::new(&g, 100)
+            .run(&FaultPlan::none(), |_slot, _deg| CountDown {
                 target: 3,
                 degree: 0,
                 seen: 0,
@@ -266,9 +139,8 @@ mod tests {
     #[test]
     fn message_count_matches_rounds_times_edges() {
         let g = generators::clique(5);
-        let runner = SyncRunner::new(&g, 100);
-        let outcome = runner
-            .run(|_deg| CountDown {
+        let outcome = AdvRunner::new(&g, 100)
+            .run(&FaultPlan::none(), |_slot, _deg| CountDown {
                 target: 2,
                 degree: 0,
                 seen: 0,
@@ -297,8 +169,9 @@ mod tests {
             }
         }
         let g = generators::path(2);
-        let runner = SyncRunner::new(&g, 7);
-        let outcome = runner.run(|_| Never2 { degree: 0 }).unwrap();
+        let outcome = AdvRunner::new(&g, 7)
+            .run(&FaultPlan::none(), |_, _| Never2 { degree: 0 })
+            .unwrap();
         assert!(!outcome.all_halted());
         assert_eq!(outcome.stats.rounds, 7);
         assert_eq!(outcome.election_time(), None);
@@ -318,10 +191,12 @@ mod tests {
             }
         }
         let g = generators::ring(4);
-        let err = SyncRunner::new(&g, 5).run(|_| Short).unwrap_err();
+        let err = AdvRunner::new(&g, 5)
+            .run(&FaultPlan::none(), |_, _| Short)
+            .unwrap_err();
         assert_eq!(
             err,
-            crate::SimError::BadSendArity {
+            SimError::BadSendArity {
                 node: 0,
                 got: 0,
                 want: 2
@@ -357,8 +232,9 @@ mod tests {
             }
         }
         let g = generators::star(3);
-        let runner = SyncRunner::new(&g, 50);
-        let outcome = runner.run(|_| HaltIfLeaf { degree: 0 }).unwrap();
+        let outcome = AdvRunner::new(&g, 50)
+            .run(&FaultPlan::none(), |_, _| HaltIfLeaf { degree: 0 })
+            .unwrap();
         assert!(outcome.all_halted());
         // Leaves halt in round 0, the center later.
         assert_eq!(outcome.halt_round[1], Some(0));

@@ -35,14 +35,17 @@ pub struct ViewClasses {
     /// Fiber size of the covering map: each row entry stands for `fold`
     /// nodes of the covered graph (1 on a plain graph).
     fold: usize,
-    /// First depth `j` (if any) whose class row equals the row at `j + 1`.
-    /// Because each row is a deterministic function of the previous one,
-    /// every depth `>= j` then carries the *identical* row — a labeling
-    /// fixed point, strictly stronger than the count-based stability of
+    /// The labeling cycle `(j, p)`, once found: the first depth `j` whose
+    /// class row reappears, at depth `j + p`. Because each row is a
+    /// deterministic function of the previous one, the rows from `j` on
+    /// repeat with period `p` — a labeling fixed point when `p = 1`,
+    /// strictly stronger than the count-based stability of
     /// [`compute_until_stable`](Self::compute_until_stable) (same blocks
-    /// *and* same canonical ranks). It lets [`row_at`](Self::row_at) answer
-    /// arbitrarily deep queries without extending the table.
-    fixed_at: Option<usize>,
+    /// *and* same canonical ranks). The canonical ranks need not settle:
+    /// on some graphs they alternate forever. The cycle lets
+    /// [`row_at`](Self::row_at) answer arbitrarily deep queries without
+    /// extending the table.
+    cycle: Option<(usize, usize)>,
 }
 
 impl ViewClasses {
@@ -52,7 +55,7 @@ impl ViewClasses {
             classes: Vec::new(),
             num_classes: Vec::new(),
             fold,
-            fixed_at: None,
+            cycle: None,
         }
     }
 
@@ -102,11 +105,18 @@ impl ViewClasses {
         (table, stable)
     }
 
-    /// Appends the next depth's row, recording the labeling fixed point the
-    /// first time a row repeats its predecessor.
+    /// Appends the next depth's row, recording the labeling cycle the first
+    /// time a row repeats an earlier one. Only rows with the same class
+    /// count can repeat, and counts never shrink, so the search walks back
+    /// over the rows since the count last grew, nearest first.
     fn push(&mut self, row: Vec<ClassId>, k: usize) {
-        if self.fixed_at.is_none() && self.classes.last() == Some(&row) {
-            self.fixed_at = Some(self.max_depth());
+        let d = self.classes.len();
+        if self.cycle.is_none() {
+            self.cycle = (0..d)
+                .rev()
+                .take_while(|&j| self.num_classes[j] == k)
+                .find(|&j| self.classes[j] == row)
+                .map(|j| (j, d - j));
         }
         self.classes.push(row);
         self.num_classes.push(k);
@@ -121,8 +131,8 @@ impl ViewClasses {
 
     /// Extends the table so that [`row_at`](Self::row_at) can answer depth
     /// `depth`: grows the table row by row until either `depth` is stored or
-    /// a labeling fixed point is found (from which every deeper row is known
-    /// to be identical). No-op when the table can already answer `depth`.
+    /// a labeling cycle is found (from which every deeper row is known: it
+    /// repeats a stored one). No-op when the table can already answer `depth`.
     /// `darts` must be the rows the table was built on.
     ///
     /// Each added row is the same deterministic function of its predecessor
@@ -135,38 +145,40 @@ impl ViewClasses {
         depth: usize,
         opts: &RefineOptions,
     ) {
-        if self.fixed_at.is_some() || depth <= self.max_depth() {
+        if self.cycle.is_some() || depth <= self.max_depth() {
             return;
         }
         let mut refiner = Refiner::new(darts, self.fold);
-        while self.max_depth() < depth && self.fixed_at.is_none() {
+        while self.max_depth() < depth && self.cycle.is_none() {
             self.extend_one_depth(&mut refiner, opts);
         }
     }
 
     /// The stored depth that carries the class row of depth `d`: `d` itself
-    /// when stored, or the fixed-point row for deeper queries.
+    /// when stored, or its position in the labeling cycle for deeper
+    /// queries.
     ///
     /// # Panics
     /// Panics if `d` exceeds [`max_depth`](Self::max_depth) and no labeling
-    /// fixed point has been reached — call
-    /// [`ensure_depth`](Self::ensure_depth) first.
+    /// cycle has been found — call [`ensure_depth`](Self::ensure_depth)
+    /// first.
     fn resolved_depth(&self, d: usize) -> usize {
-        if d <= self.max_depth() {
-            d
-        } else {
-            assert!(
-                self.fixed_at.is_some(),
-                "depth {d} exceeds max_depth {} without a fixed point; \
-                 call ensure_depth first",
-                self.max_depth()
-            );
-            self.max_depth()
+        match self.cycle {
+            Some((start, period)) if d > self.max_depth() => start + (d - start) % period,
+            _ => {
+                assert!(
+                    d <= self.max_depth(),
+                    "depth {d} exceeds max_depth {} without a labeling cycle; \
+                     call ensure_depth first",
+                    self.max_depth()
+                );
+                d
+            }
         }
     }
 
     /// The class row of depth `d`, serving depths beyond
-    /// [`max_depth`](Self::max_depth) from the labeling fixed point (see
+    /// [`max_depth`](Self::max_depth) from the labeling cycle (see
     /// [`ensure_depth`](Self::ensure_depth); panics if neither applies).
     pub fn row_at(&self, d: usize) -> &[ClassId] {
         &self.classes[self.resolved_depth(d)]
@@ -188,7 +200,7 @@ impl ViewClasses {
             classes,
             num_classes,
             fold: 1,
-            fixed_at: None,
+            cycle: None,
         }
     }
 
@@ -371,8 +383,9 @@ mod tests {
         let g = generators::lollipop(5, 4);
         let mut table = ViewClasses::compute(&g, 0);
         table.ensure_depth(g.adjacency(), 1_000_000, &RefineOptions::default());
-        assert!(
-            table.fixed_at.is_some(),
+        assert_eq!(
+            table.cycle.map(|(_, period)| period),
+            Some(1),
             "the lollipop refinement reaches a labeling fixed point"
         );
         // The table stayed small even though the requested depth is huge.
@@ -384,6 +397,25 @@ mod tests {
         // And the deep query really is served (no panic) at any depth.
         let _ = table.row_at(1_000_000);
         assert_eq!(table.num_classes_deep(1_000_000), g.num_nodes());
+    }
+
+    #[test]
+    fn alternating_labels_serve_arbitrarily_deep_rows() {
+        // On this graph the partition is discrete from depth 2 on, but the
+        // canonical ranks alternate between two rows forever: the table
+        // finds the period-2 cycle instead of growing to the queried depth.
+        let g = generators::random_connected(20, 0.12, 4);
+        let mut table = ViewClasses::compute(&g, 0);
+        table.ensure_depth(g.adjacency(), usize::MAX, &RefineOptions::default());
+        assert_eq!(table.cycle.map(|(_, period)| period), Some(2));
+        assert!(table.max_depth() < 32);
+        let eager = ViewClasses::compute(&g, 40);
+        for d in 0..=40 {
+            assert_eq!(table.row_at(d), eager.classes_at(d), "depth {d}");
+        }
+        for d in [1_000_000, 1_000_001, usize::MAX - 1, usize::MAX] {
+            assert_eq!(table.row_at(d), eager.classes_at(40 - d % 2), "depth {d}");
+        }
     }
 
     #[test]

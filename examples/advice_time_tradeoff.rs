@@ -10,15 +10,15 @@
 //! 3.1), then the four large-time milestones of Theorem 4.1 with advice
 //! shrinking from `O(log φ)` down to `O(log log* φ)`.
 
-use anonymous_election::election::milestones::{election_milestone, Milestone};
-use anonymous_election::election::{compute_advice, elect_all};
-use anonymous_election::graph::{algo, generators};
-use anonymous_election::views::election_index;
+use anonymous_election::election::{AdviceScheme, Instance, Milestone, MilestoneScheme, MinTime};
+use anonymous_election::graph::generators;
 
 fn main() {
     let g = generators::random_connected(40, 0.08, 2024);
-    let phi = election_index(&g).expect("feasible");
-    let d = algo::diameter(&g);
+    // Every run below shares this session's one analysis of the network.
+    let inst = Instance::new(&g);
+    let phi = inst.phi().expect("feasible");
+    let d = inst.diameter();
     println!(
         "network: n = {}, diameter D = {d}, election index φ = {phi}\n",
         g.num_nodes()
@@ -29,24 +29,23 @@ fn main() {
     );
 
     // The fast end of the spectrum: time exactly φ, advice Θ~(n).
-    let advice = compute_advice(&g).unwrap();
-    let fast = elect_all(&g).unwrap();
+    let fast = MinTime.elect(&inst).unwrap();
     println!(
         "{:<28} {:>12} {:>10} {:>14}",
         "Elect (Theorem 3.1)",
-        advice.size_bits(),
+        fast.advice_bits(),
         fast.time,
         format!("φ = {phi}")
     );
 
     // The slow end: the four milestones of Theorem 4.1 with c = 2.
     for m in Milestone::ALL {
-        let r = election_milestone(&g, m, 2).unwrap();
+        let r = MilestoneScheme(m).elect(&inst).unwrap();
         println!(
             "{:<28} {:>12} {:>10} {:>14}",
             format!("Election{} ({:?})", m.index(), m),
             r.advice_bits(),
-            r.generic.time,
+            r.time,
             r.time_bound
         );
     }

@@ -9,9 +9,8 @@
 //! node algorithm on every node through the LOCAL-model simulator, and prints
 //! the outcome.
 
-use anonymous_election::election::{compute_advice, elect_all};
+use anonymous_election::election::{AdviceScheme, Instance, MinTime};
 use anonymous_election::graph::{algo, generators};
-use anonymous_election::views::election_index;
 
 fn main() {
     // A "lollipop": a clique of 6 machines with a chain of 4 relays hanging
@@ -24,12 +23,16 @@ fn main() {
         algo::diameter(&g)
     );
 
+    // One session per network: it analyses the network once and serves
+    // every question below from that analysis.
+    let inst = Instance::new(&g);
+
     // Is leader election possible at all, and how fast can it be?
-    let phi = election_index(&g).expect("this network is feasible");
+    let phi = inst.phi().expect("this network is feasible");
     println!("election index φ = {phi} (minimum possible election time)");
 
     // The oracle (who knows the whole network) prepares the advice.
-    let advice = compute_advice(&g).expect("feasible network");
+    let advice = inst.advice().expect("feasible network");
     println!(
         "advice: {} bits (≈ {:.2} · n log n)",
         advice.size_bits(),
@@ -37,7 +40,7 @@ fn main() {
     );
 
     // Every node receives the same advice and runs Elect for φ rounds.
-    let outcome = elect_all(&g).expect("election succeeds");
+    let outcome = MinTime.elect(&inst).expect("election succeeds");
     println!(
         "elected leader: node {} in {} round(s)",
         outcome.leader, outcome.time

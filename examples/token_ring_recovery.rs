@@ -18,18 +18,20 @@
 //! the restartable execution model re-runs the election under it — re-electing
 //! the *same* token owner, merely a few rounds later.
 
-use anonymous_election::election::{elect_all, ElectionError, ExecutionModel, Instance};
+use anonymous_election::election::{
+    AdviceScheme, ElectionError, ExecutionModel, Instance, MinTime,
+};
 use anonymous_election::families::hairy_ring;
 use anonymous_election::graph::generators;
 use anonymous_election::sim::{CrashEvent, CrashSemantics, FaultPlan};
-use anonymous_election::views::{election_index, is_feasible};
+use anonymous_election::views::is_feasible;
 
 fn main() {
     // A plain 8-station token ring: every station looks exactly like every
     // other, no deterministic algorithm can break the tie.
     let plain = generators::ring(8);
     println!("plain ring feasible?     {}", is_feasible(&plain));
-    match elect_all(&plain) {
+    match MinTime.elect(&Instance::new(&plain)) {
         Err(ElectionError::Infeasible) => {
             println!("  -> election on the plain ring is impossible (as the theory predicts)")
         }
@@ -40,16 +42,19 @@ fn main() {
     // workstations — the asymmetry every real deployment has.
     let devices = [3usize, 1, 0, 2, 0, 1, 4, 0];
     let ring = hairy_ring(&devices);
-    let phi = election_index(&ring).expect("the hairy ring is feasible");
+    let inst = Instance::new(&ring);
+    let phi = inst.phi().expect("the hairy ring is feasible");
     println!(
         "\nhairy ring: {} nodes, election index φ = {phi}",
         ring.num_nodes()
     );
 
-    let outcome = elect_all(&ring).expect("election succeeds");
+    let outcome = MinTime.elect(&inst).expect("election succeeds");
     println!(
         "new token owner: node {} (elected in {} round(s) with {} advice bits)",
-        outcome.leader, outcome.time, outcome.advice_bits
+        outcome.leader,
+        outcome.time,
+        outcome.advice_bits()
     );
     println!("every station now holds a simple path of port numbers leading to the token owner;");
     println!(
@@ -71,14 +76,20 @@ fn main() {
             recover_at: Some(3),
         }],
     );
-    let inst = Instance::new(&ring);
     let recovered = inst
         .elect_under(&crash, ExecutionModel::Restartable, 1)
         .expect("the restartable model absorbs a crash-and-reboot");
     println!(
         "\nstation 1 crashed at round 1 and rebooted at round 3 — the ring re-elected\n\
          node {} (the same owner) in {} round(s), {} messages instead of {}.",
-        recovered.leader, recovered.time, recovered.stats.messages, outcome.stats.messages
+        recovered.leader,
+        recovered.time,
+        recovered.stats.messages,
+        outcome
+            .stats
+            .as_ref()
+            .expect("min-time outcomes carry the exchange stats")
+            .messages
     );
     assert_eq!(
         recovered.leader, outcome.leader,

@@ -43,8 +43,8 @@ pub use anet_views as views;
 pub mod prelude {
     pub use anet_advice::BitString;
     pub use anet_election::{
-        compute_advice, elect_all, generic_elect_all, scheme_suite, verify_election, AdviceScheme,
-        ElectionOutcome, Generic, Instance, MilestoneScheme, MinTime, Outcome, Remark,
+        compute_advice, scheme_suite, verify_election, AdviceScheme, Generic, Instance,
+        MilestoneScheme, MinTime, Outcome, Remark,
     };
     pub use anet_graph::{Graph, GraphBuilder, NodeId, Port, PortPath};
     pub use anet_views::{election_index, is_feasible, AugmentedView};

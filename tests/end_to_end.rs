@@ -1,16 +1,24 @@
 //! Cross-crate integration tests: the full election pipeline on the paper's
 //! own graph families and on mixed workloads.
 
-use anonymous_election::election::milestones::{election_milestone, Milestone};
-use anonymous_election::election::{compute_advice, elect_all, generic_elect_all, verify_election};
+use anonymous_election::election::{
+    compute_advice, verify_election, AdviceScheme, ElectionError, Generic, Instance, Milestone,
+    MilestoneScheme, MinTime, Outcome,
+};
 use anonymous_election::families::necklace::NecklaceParams;
 use anonymous_election::families::ring_of_cliques::ring_of_cliques_base;
 use anonymous_election::families::{
     hairy_ring, lock_chain_graph, necklace, necklace_base, stretched_gadget,
 };
+use anonymous_election::graph::Graph;
 use anonymous_election::graph::{algo, generators};
 use anonymous_election::sim::exchange_views;
 use anonymous_election::views::{election_index, AugmentedView};
+
+/// `scheme` run on a fresh session of `g`.
+fn elect(scheme: impl AdviceScheme, g: &Graph) -> Result<Outcome, ElectionError> {
+    scheme.elect(&Instance::new(g))
+}
 
 #[test]
 fn minimum_time_election_on_the_ring_of_cliques_family() {
@@ -22,7 +30,7 @@ fn minimum_time_election_on_the_ring_of_cliques_family() {
         vec![0, 2, 4, 1, 3, 5],
     ] {
         let g = anonymous_election::families::ring_of_cliques(6, 3, &assignment);
-        let outcome = elect_all(&g).expect("feasible");
+        let outcome = elect(MinTime, &g).expect("feasible");
         assert_eq!(outcome.time, 1);
         for (v, p) in outcome.outputs.iter().enumerate() {
             assert!(p.is_simple(&g, v));
@@ -36,7 +44,7 @@ fn minimum_time_election_on_necklaces_uses_exactly_phi_rounds() {
     for phi in [2usize, 3] {
         let params = NecklaceParams { k: 4, x: 3, phi };
         let g = necklace_base(params);
-        let outcome = elect_all(&g).expect("necklaces are feasible");
+        let outcome = elect(MinTime, &g).expect("necklaces are feasible");
         assert_eq!(outcome.time, phi);
         assert_eq!(outcome.phi, phi);
     }
@@ -54,8 +62,8 @@ fn coded_necklaces_elect_and_advice_differs_across_codes() {
     let a1 = compute_advice(&g1).unwrap();
     let a2 = compute_advice(&g2).unwrap();
     assert_ne!(a1.bits, a2.bits);
-    assert!(elect_all(&g1).is_ok());
-    assert!(elect_all(&g2).is_ok());
+    assert!(elect(MinTime, &g1).is_ok());
+    assert!(elect(MinTime, &g2).is_ok());
 }
 
 #[test]
@@ -70,7 +78,7 @@ fn generic_election_respects_lemma_4_1_on_families() {
         let phi = election_index(&g).expect("feasible");
         let d = algo::diameter(&g);
         for x in [phi, phi + 2] {
-            let outcome = generic_elect_all(&g, x).unwrap();
+            let outcome = elect(Generic { x }, &g).unwrap();
             assert!(outcome.time <= d + x + 1);
             assert!(verify_election(&g, &outcome.outputs).is_ok());
         }
@@ -84,11 +92,11 @@ fn milestones_and_minimum_time_agree_on_the_leader_up_to_view_order() {
     // must agree is that each run is internally consistent. Here we check
     // both pipelines fully verify on the same graphs.
     let g = generators::lollipop(6, 5);
-    let fast = elect_all(&g).unwrap();
+    let fast = elect(MinTime, &g).unwrap();
     assert!(verify_election(&g, &fast.outputs).is_ok());
     for m in Milestone::ALL {
-        let slow = election_milestone(&g, m, 2).unwrap();
-        assert!(verify_election(&g, &slow.generic.outputs).is_ok());
+        let slow = elect(MilestoneScheme(m), &g).unwrap();
+        assert!(verify_election(&g, &slow.outputs).is_ok());
     }
 }
 
@@ -110,23 +118,18 @@ fn elect_all_completes_on_the_smallest_large_graphs_tier() {
     assert_eq!(tier.len(), 3);
     for (name, g) in tier {
         let phi = election_index(&g).expect("tier instances are feasible");
-        let outcome = elect_all(&g).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let outcome = elect(MinTime, &g).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(outcome.time, phi, "{name}: Theorem 3.1 time");
         assert_eq!(outcome.outputs.len(), g.num_nodes());
         assert!(verify_election(&g, &outcome.outputs).is_ok(), "{name}");
         // The exchange moved O(m) words per round: 2 messages per edge per
         // round, 2 words each.
-        assert_eq!(outcome.stats.messages, 2 * g.num_edges() * phi, "{name}");
-        assert_eq!(
-            outcome.stats.message_words,
-            2 * outcome.stats.messages,
-            "{name}"
-        );
+        let stats = outcome.stats.unwrap();
+        assert_eq!(stats.messages, 2 * g.num_edges() * phi, "{name}");
+        assert_eq!(stats.message_words, 2 * stats.messages, "{name}");
         // Hash-consing keeps the working set at O(n) records per depth.
-        assert!(
-            outcome.distinct_views <= (phi + 1) * g.num_nodes(),
-            "{name}"
-        );
+        let distinct_views = outcome.distinct_views.unwrap();
+        assert!(distinct_views <= (phi + 1) * g.num_nodes(), "{name}");
     }
 }
 
@@ -134,7 +137,7 @@ fn elect_all_completes_on_the_smallest_large_graphs_tier() {
 /// `anet-bench` (the umbrella crate does not link the bench harness): the
 /// same three ~1000-node instances `workloads::large_graphs_up_to(1100)`
 /// yields.
-fn anet_bench_free_workloads_smallest_tier() -> Vec<(String, anonymous_election::graph::Graph)> {
+fn anet_bench_free_workloads_smallest_tier() -> Vec<(String, Graph)> {
     use anonymous_election::families::ring_of_cliques;
     vec![
         (
@@ -163,10 +166,10 @@ fn stretched_gadget_elects_despite_local_symmetry() {
     // the impossibility is only for advice that does not grow with the family.
     let (g, _hub, _foci) = stretched_gadget(&[1, 0, 2, 0, 3, 0], 0, 3, 8);
     let phi = election_index(&g).expect("feasible");
-    let outcome = elect_all(&g).unwrap();
+    let outcome = elect(MinTime, &g).unwrap();
     assert_eq!(outcome.time, phi);
     let d = algo::diameter(&g);
-    let slow = generic_elect_all(&g, phi).unwrap();
+    let slow = elect(Generic { x: phi }, &g).unwrap();
     assert!(slow.time <= d + phi + 1);
 }
 
@@ -178,8 +181,8 @@ fn infeasible_graphs_are_rejected_by_every_pipeline() {
         generators::torus(3, 3),
     ] {
         assert!(election_index(&g).is_none());
-        assert!(elect_all(&g).is_err());
-        assert!(election_milestone(&g, Milestone::AddConstant, 2).is_err());
+        assert!(elect(MinTime, &g).is_err());
+        assert!(elect(MilestoneScheme(Milestone::AddConstant), &g).is_err());
     }
 }
 

@@ -9,9 +9,8 @@ use proptest::prelude::*;
 use anonymous_election::advice::{codec, BitString};
 use anonymous_election::election::advice_build::compute_advice_reference;
 use anonymous_election::election::{
-    compute_advice, elect_all, election_milestone, generic_elect_all, remark_elect_all,
-    scheme_suite, AdviceScheme, ExecutionModel, Generic, Instance, Milestone, MilestoneScheme,
-    MinTime, Remark,
+    compute_advice, scheme_suite, AdviceScheme, ExecutionModel, Generic, Instance, Milestone,
+    MilestoneScheme, MinTime, Remark,
 };
 use anonymous_election::graph::lift::{identity_voltage, VoltageGraph};
 use anonymous_election::graph::{algo, generators, lift, relabel, RefineOptions};
@@ -113,7 +112,7 @@ proptest! {
         if let Some(phi) = election_index(&g) {
             // Keep the run tractable: deep views on dense graphs explode.
             prop_assume!(phi <= 4);
-            let outcome = elect_all(&g).unwrap();
+            let outcome = MinTime.elect(&Instance::new(&g)).unwrap();
             prop_assert_eq!(outcome.time, phi);
             for (v, path) in outcome.outputs.iter().enumerate() {
                 prop_assert!(path.is_simple(&g, v));
@@ -127,7 +126,7 @@ proptest! {
         let g = generators::random_connected(n, p, seed);
         if let Some(phi) = election_index(&g) {
             let d = algo::diameter(&g);
-            let outcome = generic_elect_all(&g, phi + 1).unwrap();
+            let outcome = Generic { x: phi + 1 }.elect(&Instance::new(&g)).unwrap();
             prop_assert!(outcome.time <= d + phi + 2);
             for (v, path) in outcome.outputs.iter().enumerate() {
                 prop_assert!(path.is_simple(&g, v));
@@ -141,11 +140,11 @@ proptest! {
         if let Some(phi) = election_index(&g) {
             prop_assume!(phi <= 3);
             let (h, perm) = relabel::random_node_permutation(&g, seed ^ 0xabcd);
-            let og = elect_all(&g).unwrap();
-            let oh = elect_all(&h).unwrap();
+            let og = MinTime.elect(&Instance::new(&g)).unwrap();
+            let oh = MinTime.elect(&Instance::new(&h)).unwrap();
             prop_assert_eq!(perm[og.leader], oh.leader);
             prop_assert_eq!(og.time, oh.time);
-            prop_assert_eq!(og.advice_bits, oh.advice_bits);
+            prop_assert_eq!(og.advice_bits(), oh.advice_bits());
         }
     }
 
@@ -188,42 +187,43 @@ proptest! {
     #[test]
     fn session_schemes_pin_to_legacy_free_functions((n, p, seed) in graph_params()) {
         // A single warm Instance running every AdviceScheme must produce
-        // bit-identical advice and identical (leader, time) to the
-        // corresponding legacy free function (which builds a fresh one-shot
-        // session per call): cache reuse may never change a result.
+        // bit-identical advice and identical (leader, time) to the same
+        // scheme on a fresh one-shot session: cache reuse may never change
+        // a result.
         let g = generators::random_connected(n, p, seed);
         if let Some(phi) = election_index(&g) {
             prop_assume!(phi <= 4);
             let inst = Instance::new(&g);
+            let fresh = |scheme: &dyn AdviceScheme| scheme.elect(&Instance::new(&g)).unwrap();
 
             let mt = MinTime.elect(&inst).unwrap();
-            let legacy = elect_all(&g).unwrap();
+            let cold = fresh(&MinTime);
             prop_assert_eq!(&mt.advice, &compute_advice(&g).unwrap().bits);
-            prop_assert_eq!(mt.leader, legacy.leader);
-            prop_assert_eq!(mt.time, legacy.time);
-            prop_assert_eq!(mt.advice_bits(), legacy.advice_bits);
+            prop_assert_eq!(mt.leader, cold.leader);
+            prop_assert_eq!(mt.time, cold.time);
+            prop_assert_eq!(mt.advice_bits(), cold.advice_bits());
 
             let gn = Generic { x: phi + 1 }.elect(&inst).unwrap();
-            let legacy = generic_elect_all(&g, phi + 1).unwrap();
-            prop_assert_eq!(gn.leader, legacy.leader);
-            prop_assert_eq!(gn.time, legacy.time);
-            prop_assert_eq!(&gn.halt_rounds, &legacy.halt_rounds);
-            prop_assert_eq!(&gn.outputs, &legacy.outputs);
+            let cold = fresh(&Generic { x: phi + 1 });
+            prop_assert_eq!(gn.leader, cold.leader);
+            prop_assert_eq!(gn.time, cold.time);
+            prop_assert_eq!(&gn.halt_rounds, &cold.halt_rounds);
+            prop_assert_eq!(&gn.outputs, &cold.outputs);
 
             for m in Milestone::ALL {
                 let ms = MilestoneScheme(m).elect(&inst).unwrap();
-                let legacy = election_milestone(&g, m, 2).unwrap();
-                prop_assert_eq!(&ms.advice, &legacy.advice);
-                prop_assert_eq!(ms.parameter.unwrap(), legacy.parameter);
-                prop_assert_eq!(ms.leader, legacy.generic.leader);
-                prop_assert_eq!(ms.time, legacy.generic.time);
+                let cold = fresh(&MilestoneScheme(m));
+                prop_assert_eq!(&ms.advice, &cold.advice);
+                prop_assert_eq!(ms.parameter, cold.parameter);
+                prop_assert_eq!(ms.leader, cold.leader);
+                prop_assert_eq!(ms.time, cold.time);
             }
 
             let rm = Remark.elect(&inst).unwrap();
-            let legacy = remark_elect_all(&g).unwrap();
-            prop_assert_eq!(&rm.advice, &legacy.advice);
-            prop_assert_eq!(rm.leader, legacy.leader);
-            prop_assert_eq!(rm.time, legacy.time);
+            let cold = fresh(&Remark);
+            prop_assert_eq!(&rm.advice, &cold.advice);
+            prop_assert_eq!(rm.leader, cold.leader);
+            prop_assert_eq!(rm.time, cold.time);
         }
     }
 
@@ -421,13 +421,13 @@ proptest! {
 
     #[test]
     fn fault_free_adversarial_engine_is_bit_identical_to_the_clean_one((n, p, seed) in graph_params()) {
-        // Under the empty fault plan the adversarial engine (AdvRunner via
-        // elect_under) must reproduce the clean SyncRunner transcript exactly:
-        // same outputs, same halt round, same message statistics.
+        // Under the empty fault plan elect_under must reproduce the clean
+        // MinTime transcript exactly: same outputs, same halt round, same
+        // message statistics.
         let g = generators::random_connected(n, p, seed);
         if let Some(phi) = election_index(&g) {
             prop_assume!(phi <= 4);
-            let clean = elect_all(&g).unwrap();
+            let clean = MinTime.elect(&Instance::new(&g)).unwrap();
             let inst = Instance::new(&g);
             for model in [ExecutionModel::Raw, ExecutionModel::ReliableLinks, ExecutionModel::Restartable] {
                 let adv = inst.elect_under(&FaultPlan::none(), model, 1).unwrap();
@@ -438,7 +438,7 @@ proptest! {
                     // wrappers add protocol rounds/messages but must still
                     // elect identically (checked above).
                     prop_assert_eq!(adv.time, clean.time);
-                    prop_assert_eq!(&adv.stats, &clean.stats);
+                    prop_assert_eq!(Some(&adv.stats), clean.stats.as_ref());
                 }
             }
         }
